@@ -11,7 +11,10 @@ use privpath_graph::gen::{road_like, RoadGenConfig};
 use privpath_graph::landmark::Landmarks;
 use privpath_partition::{compute_borders, partition_packed, partition_plain};
 use privpath_pir::{LinearScanStore, ObliviousStore, Prp, ShuffledStore};
-use privpath_storage::{crc32, DiskFile, MemFile, MmapFile, PageBuf, PagedFile, DEFAULT_PAGE_SIZE};
+use privpath_storage::checksum::crc32_portable;
+use privpath_storage::{
+    crc32, ChecksumFile, DiskFile, MemFile, MmapFile, PageBuf, PagedFile, DEFAULT_PAGE_SIZE,
+};
 use std::sync::Arc;
 
 fn net(nodes: usize) -> privpath_graph::network::RoadNetwork {
@@ -272,7 +275,10 @@ fn bench_linear_scan_round(c: &mut Criterion) {
 /// the lane kernel buys constant per-page work (obliviousness under the
 /// adversarial-server timing model) at rough parity, not extra speed.
 /// Both paths are observably identical (answers and `0..N` physical log),
-/// as the differential tests in `pir::backend` prove.
+/// as the differential tests in `pir::backend` prove. The `crc(disk)` and
+/// `crc(mmap)` rows wrap the drivers in `ChecksumFile`, as every
+/// snapshot-served file is, so the production scan's per-page CRC cost
+/// shows up at kernel level.
 fn bench_scan_kernel(c: &mut Criterion) {
     let pages = 1024u32;
     let round = 8u32;
@@ -283,16 +289,22 @@ fn bench_scan_kernel(c: &mut Criterion) {
     let path = dir.join("scan.bin");
     mem.persist(&path).expect("persist bench file");
 
+    let crcs: Vec<u32> = (0..pages).map(|p| crc32(mem.page(p).unwrap())).collect();
+    let disk = || -> Arc<dyn PagedFile> {
+        Arc::new(DiskFile::open(&path, DEFAULT_PAGE_SIZE).expect("open disk"))
+    };
+    let mmap = || -> Arc<dyn PagedFile> {
+        Arc::new(MmapFile::open(&path, DEFAULT_PAGE_SIZE).expect("open mmap"))
+    };
+    let checked = |inner: Arc<dyn PagedFile>| -> Arc<dyn PagedFile> {
+        Arc::new(ChecksumFile::new("F", inner, crcs.clone()))
+    };
     let drivers: Vec<(&str, Arc<dyn PagedFile>)> = vec![
-        ("mem", Arc::new(mem) as Arc<dyn PagedFile>),
-        (
-            "disk",
-            Arc::new(DiskFile::open(&path, DEFAULT_PAGE_SIZE).expect("open disk")),
-        ),
-        (
-            "mmap",
-            Arc::new(MmapFile::open(&path, DEFAULT_PAGE_SIZE).expect("open mmap")),
-        ),
+        ("mem", Arc::new(mem)),
+        ("disk", disk()),
+        ("mmap", mmap()),
+        ("crc(disk)", checked(disk())),
+        ("crc(mmap)", checked(mmap())),
     ];
 
     let mut g = c.benchmark_group("linear_scan_round");
@@ -313,6 +325,9 @@ fn bench_scan_kernel(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `crc32_page` times one 4 KiB page through the portable slicing-by-8 loop
+/// and through the dispatched `crc32` (the PCLMULQDQ folding kernel where
+/// the CPU has it), the check `ChecksumFile` runs on every scanned page.
 fn bench_prp_and_crc(c: &mut Criterion) {
     let prp = Prp::new(1 << 20, 99);
     c.bench_function("prp_apply", |b| {
@@ -323,7 +338,10 @@ fn bench_prp_and_crc(c: &mut Criterion) {
         });
     });
     let page = vec![0xA5u8; DEFAULT_PAGE_SIZE];
-    c.bench_function("crc32_page", |b| b.iter(|| crc32(&page)));
+    let mut g = c.benchmark_group("crc32_page");
+    g.bench_function("portable", |b| b.iter(|| crc32_portable(&page)));
+    g.bench_function("dispatched", |b| b.iter(|| crc32(&page)));
+    g.finish();
 }
 
 criterion_group!(
