@@ -23,10 +23,8 @@
 //! q/s) in `builds[]` — the cost of the real client/server boundary.
 //!
 //! `--transport tcp` (PR 7) serves every session over a real loopback
-//! socket into a `TcpFront` accept loop and runs each configuration twice:
-//! once with cross-session round coalescing off and once with it on (each
-//! `runs[]` entry carries a boolean `coalesced`), so the committed file
-//! records coalesced vs uncoalesced multi-client throughput. Because
+//! socket into a default `TcpFront` accept loop, where concurrent rounds
+//! over one file share a pass (self-clocked coalescing, always on). Because
 //! coalescing only engages on linear-scan stores, this mode builds the
 //! databases with `pir_mode = LinearScan` — real oblivious sweeps — so its
 //! absolute q/s is not comparable to the cost-only `inproc`/`wire` runs.
@@ -46,7 +44,7 @@
 //! `both` runs every configuration on all three so the committed file
 //! records the per-backend throughput deltas directly (each `runs[]` entry
 //! carries a `storage` tag; the schema validator requires it on `pr >= 9`
-//! baselines, and requires an `mmap` run on `pr >= 10`). When a persistent
+//! baselines). When a persistent
 //! driver is in play the file also gains a `recovery` section — the persist
 //! wall, the cold-start `open_snapshot` wall, and the snapshot's size —
 //! measured on the first requested scheme.
@@ -353,12 +351,7 @@ fn main() {
                     "inproc" => vec![TransportKind::InProc],
                     "wire" => vec![TransportKind::Wire],
                     "both" => vec![TransportKind::InProc, TransportKind::Wire],
-                    // uncoalesced first: it is the reference the coalesced
-                    // run's throughput is compared against
-                    "tcp" => vec![
-                        TransportKind::Tcp { coalesce: false },
-                        TransportKind::Tcp { coalesce: true },
-                    ],
+                    "tcp" => vec![TransportKind::Tcp],
                     _ => usage(),
                 }
             }
@@ -436,9 +429,7 @@ fn main() {
         ..Default::default()
     });
 
-    let uses_tcp = transports
-        .iter()
-        .any(|t| matches!(t, TransportKind::Tcp { .. }));
+    let uses_tcp = transports.iter().any(|t| matches!(t, TransportKind::Tcp));
     let mut cfg = BuildConfig::default();
     if uses_tcp {
         // Round coalescing only engages on linear-scan stores (the one
@@ -572,9 +563,6 @@ fn main() {
                             TransportKind::Chaos { .. } => {
                                 format!(", {} retransmits", r.retransmits)
                             }
-                            TransportKind::Tcp { coalesce } => {
-                                format!(", coalesce {}", if coalesce { "on" } else { "off" })
-                            }
                             _ => String::new(),
                         }
                     );
@@ -597,7 +585,7 @@ fn main() {
                         TransportKind::InProc => single_qps_of[0] = single_qps,
                         TransportKind::Wire => single_qps_of[1] = single_qps,
                         // no inproc-vs-wire overhead headline for these
-                        TransportKind::Chaos { .. } | TransportKind::Tcp { .. } => {}
+                        TransportKind::Chaos { .. } | TransportKind::Tcp => {}
                     }
                 }
             }

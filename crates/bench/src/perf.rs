@@ -313,9 +313,7 @@ pub fn stage_breakdown_to_json(b: &privpath_core::schemes::index_scheme::StageBr
 /// Serializes one workload run for the baseline's `runs` array. Chaos runs
 /// additionally record the fault-plan seed (`chaos_seed`) so the run
 /// reproduces; retry overhead is in `retransmits` for every transport
-/// (0 on a perfect link). TCP runs record `coalesced` — whether the front
-/// merged concurrent linear-scan rounds into shared sweeps — so coalesced
-/// and uncoalesced throughput stay distinguishable in the committed file.
+/// (0 on a perfect link).
 pub fn run_to_json(r: &SharedWorkloadResult) -> Json {
     let mut doc = obj([
         ("scheme", Json::Str(r.kind.name().to_string())),
@@ -345,11 +343,6 @@ pub fn run_to_json(r: &SharedWorkloadResult) -> Json {
     if let crate::runner::TransportKind::Chaos { seed } = r.transport {
         if let Json::Obj(m) = &mut doc {
             m.insert("chaos_seed".into(), Json::Num(seed as f64));
-        }
-    }
-    if let crate::runner::TransportKind::Tcp { coalesce } = r.transport {
-        if let Json::Obj(m) = &mut doc {
-            m.insert("coalesced".into(), Json::Bool(coalesce));
         }
     }
     doc
@@ -406,12 +399,17 @@ pub fn swap_to_json(r: &crate::runner::SwapWorkloadResult) -> Json {
 /// full key set regardless of `pr`.
 ///
 /// Since PR 10 a baseline must additionally carry the vectorized-scan
-/// evidence: at least one run served from the `mmap` driver, and a
-/// `scan_kernel` section (the lane kernel vs the PR 3 sorted-cursor copy
-/// path, per backend) whose `backends[]` cover `mem`, `disk` and `mmap`
-/// with numeric `pr3_scan_ms` / `lanes_scan_ms` / `ratio`, plus the
-/// headline `disk_serving_ratio`. A `scan_kernel` section on an older
-/// `pr` is validated structurally the same way.
+/// evidence: a `scan_kernel` section (the lane kernel vs the PR 3
+/// sorted-cursor copy path, per backend) whose `backends[]` cover `mem`,
+/// `disk` and `mmap` with numeric `pr3_scan_ms` / `lanes_scan_ms` /
+/// `ratio`, plus the headline `disk_serving_ratio`. A `scan_kernel` section
+/// on an older `pr` is validated structurally the same way. The runs
+/// themselves may be served from any storage backend: the section's
+/// `mmap` row is the mmap evidence.
+///
+/// TCP runs from PRs 7–12 carry a boolean `coalesced` (whether the front
+/// had its since-removed coalesce window on). Later runs omit it, so it is
+/// optional, but when present it must be a boolean.
 pub fn validate_baseline(doc: &Json) -> Vec<String> {
     let mut problems = Vec::new();
     let runs_need_generation = doc
@@ -580,13 +578,6 @@ pub fn validate_baseline(doc: &Json) -> Vec<String> {
             return problems;
         }
     };
-    if needs_scan_kernel
-        && !runs
-            .iter()
-            .any(|r| r.get("storage").and_then(Json::as_str) == Some("mmap"))
-    {
-        problems.push("no run served from the `mmap` driver (required since PR 10)".into());
-    }
     for (i, run) in runs.iter().enumerate() {
         if run.get("scheme").and_then(Json::as_str).is_none() {
             problems.push(format!("runs[{i}]: missing `scheme`"));
@@ -595,8 +586,8 @@ pub fn validate_baseline(doc: &Json) -> Vec<String> {
         // chaos value with fault injection (PR 6) and the tcp value with
         // network-real serving (PR 7); older committed baselines predate
         // it, so it is optional — but when present it must name a known
-        // transport, a chaos run must record its retry overhead, and a tcp
-        // run must say whether round coalescing was on.
+        // transport and a chaos run must record its retry overhead. A tcp
+        // run's `coalesced` flag is optional, but must be a boolean.
         if let Some(t) = run.get("transport") {
             match t.as_str() {
                 Some("inproc") | Some("wire") => {}
@@ -610,10 +601,8 @@ pub fn validate_baseline(doc: &Json) -> Vec<String> {
                     }
                 }
                 Some("tcp") => {
-                    if run.get("coalesced").and_then(Json::as_bool).is_none() {
-                        problems.push(format!(
-                            "runs[{i}]: tcp transport requires boolean `coalesced`"
-                        ));
+                    if run.get("coalesced").is_some_and(|c| c.as_bool().is_none()) {
+                        problems.push(format!("runs[{i}]: `coalesced` must be a boolean"));
                     }
                 }
                 _ => problems.push(format!(
@@ -838,21 +827,30 @@ mod tests {
 
     #[test]
     fn validator_checks_tcp_runs() {
-        // a tcp run without the `coalesced` flag is flagged...
+        // a tcp run may omit the `coalesced` flag ...
         let bare = obj([("transport", Json::Str("tcp".into()))]);
         let doc = obj([("runs", Json::Arr(vec![bare]))]);
-        assert!(validate_baseline(&doc)
-            .iter()
-            .any(|p| p.contains("coalesced")));
-        // ...and with it, no tcp-specific problem remains
-        let ok = obj([
-            ("transport", Json::Str("tcp".into())),
-            ("coalesced", Json::Bool(true)),
-        ]);
-        let doc = obj([("runs", Json::Arr(vec![ok]))]);
         assert!(!validate_baseline(&doc)
             .iter()
             .any(|p| p.contains("coalesced") || p.contains("transport")));
+        // ... and PR 7's boolean flag still validates ...
+        let flagged = obj([
+            ("transport", Json::Str("tcp".into())),
+            ("coalesced", Json::Bool(true)),
+        ]);
+        let doc = obj([("runs", Json::Arr(vec![flagged]))]);
+        assert!(!validate_baseline(&doc)
+            .iter()
+            .any(|p| p.contains("coalesced") || p.contains("transport")));
+        // ... but a non-boolean flag is flagged
+        let bad = obj([
+            ("transport", Json::Str("tcp".into())),
+            ("coalesced", Json::Str("on".into())),
+        ]);
+        let doc = obj([("runs", Json::Arr(vec![bad]))]);
+        assert!(validate_baseline(&doc)
+            .iter()
+            .any(|p| p.contains("runs[0]") && p.contains("coalesced")));
     }
 
     #[test]
@@ -990,31 +988,34 @@ mod tests {
         );
     }
 
-    #[test]
-    fn validator_requires_mmap_and_scan_kernel_since_pr10() {
-        let run_on = |storage: &str| {
-            obj([
-                ("scheme", Json::Str("CI".into())),
-                ("threads", Json::Num(1.0)),
-                ("queries", Json::Num(4.0)),
-                ("wall_s", Json::Num(0.5)),
-                ("throughput_qps", Json::Num(8.0)),
-                ("p50_query_s", Json::Num(0.05)),
-                ("p95_query_s", Json::Num(0.09)),
-                ("generation", Json::Num(1.0)),
-                ("storage", Json::Str(storage.into())),
-                (
-                    "stages_avg_s",
-                    obj([
-                        ("pir", Json::Num(1.0)),
-                        ("comm", Json::Num(1.0)),
-                        ("server", Json::Num(0.0)),
-                        ("client", Json::Num(0.1)),
-                    ]),
-                ),
-            ])
-        };
-        let backend = |storage: &str| {
+    /// A complete PR 9+ run entry served from `storage` over `transport`.
+    fn run_on(storage: &str, transport: &str) -> Json {
+        obj([
+            ("scheme", Json::Str("CI".into())),
+            ("transport", Json::Str(transport.into())),
+            ("threads", Json::Num(1.0)),
+            ("queries", Json::Num(4.0)),
+            ("wall_s", Json::Num(0.5)),
+            ("throughput_qps", Json::Num(8.0)),
+            ("p50_query_s", Json::Num(0.05)),
+            ("p95_query_s", Json::Num(0.09)),
+            ("generation", Json::Num(1.0)),
+            ("storage", Json::Str(storage.into())),
+            (
+                "stages_avg_s",
+                obj([
+                    ("pir", Json::Num(1.0)),
+                    ("comm", Json::Num(1.0)),
+                    ("server", Json::Num(0.0)),
+                    ("client", Json::Num(0.1)),
+                ]),
+            ),
+        ])
+    }
+
+    /// A `scan_kernel` section with one row per named backend.
+    fn scan_kernel_over(backends: &[&str]) -> Json {
+        let row = |storage: &str| {
             obj([
                 ("storage", Json::Str(storage.into())),
                 ("pr3_scan_ms", Json::Num(0.8)),
@@ -1022,64 +1023,63 @@ mod tests {
                 ("ratio", Json::Num(4.0)),
             ])
         };
-        let scan_kernel = obj([
+        obj([
             ("pages", Json::Num(1024.0)),
             ("page_size", Json::Num(4096.0)),
             ("round", Json::Num(8.0)),
             ("disk_serving_ratio", Json::Num(4.0)),
             (
                 "backends",
-                Json::Arr(vec![backend("mem"), backend("disk"), backend("mmap")]),
+                Json::Arr(backends.iter().map(|b| row(b)).collect()),
             ),
-        ]);
-        let doc_of = |pr: f64, runs: Vec<Json>, kernel: Option<Json>| {
-            let mut members = vec![
-                ("pr", Json::Num(pr)),
-                ("host_cpus", Json::Num(1.0)),
-                ("single_cpu_host", Json::Bool(true)),
-                (
-                    "network",
-                    obj([
-                        ("nodes", Json::Num(100.0)),
-                        ("arcs", Json::Num(400.0)),
-                        ("seed", Json::Num(7.0)),
-                        ("generator", Json::Str("road_like".into())),
-                    ]),
-                ),
-                ("runs", Json::Arr(runs)),
-                ("speedup", Json::Num(1.0)),
-            ];
-            if let Some(k) = kernel {
-                members.push(("scan_kernel", k));
-            }
-            obj(members)
-        };
+        ])
+    }
 
-        // a PR 10 document with neither an mmap run nor a scan_kernel
-        // section is rejected on both counts ...
-        let problems = validate_baseline(&doc_of(10.0, vec![run_on("disk")], None));
-        assert!(problems.iter().any(|p| p.contains("mmap")), "{problems:?}");
+    /// A complete baseline document of `pr` around `runs`.
+    fn doc_of(pr: f64, runs: Vec<Json>, kernel: Option<Json>) -> Json {
+        let mut members = vec![
+            ("pr", Json::Num(pr)),
+            ("host_cpus", Json::Num(1.0)),
+            ("single_cpu_host", Json::Bool(true)),
+            (
+                "network",
+                obj([
+                    ("nodes", Json::Num(100.0)),
+                    ("arcs", Json::Num(400.0)),
+                    ("seed", Json::Num(7.0)),
+                    ("generator", Json::Str("road_like".into())),
+                ]),
+            ),
+            ("runs", Json::Arr(runs)),
+            ("speedup", Json::Num(1.0)),
+        ];
+        if let Some(k) = kernel {
+            members.push(("scan_kernel", k));
+        }
+        obj(members)
+    }
+
+    #[test]
+    fn validator_requires_mmap_and_scan_kernel_since_pr10() {
+        let all = ["mem", "disk", "mmap"];
+        // a PR 10 document without a scan_kernel section is rejected ...
+        let problems = validate_baseline(&doc_of(10.0, vec![run_on("disk", "wire")], None));
         assert!(
             problems.iter().any(|p| p.contains("scan_kernel")),
             "{problems:?}"
         );
         // ... a PR 9 baseline is grandfathered in ...
-        let problems = validate_baseline(&doc_of(9.0, vec![run_on("disk")], None));
+        let problems = validate_baseline(&doc_of(9.0, vec![run_on("disk", "wire")], None));
         assert!(
             !problems
                 .iter()
                 .any(|p| p.contains("mmap") || p.contains("scan_kernel")),
             "{problems:?}"
         );
-        // ... a scan_kernel section missing a backend is flagged at any pr ...
-        let partial = obj([
-            ("pages", Json::Num(1024.0)),
-            ("page_size", Json::Num(4096.0)),
-            ("round", Json::Num(8.0)),
-            ("disk_serving_ratio", Json::Num(4.0)),
-            ("backends", Json::Arr(vec![backend("mem"), backend("disk")])),
-        ]);
-        let problems = validate_baseline(&doc_of(9.0, vec![run_on("disk")], Some(partial)));
+        // ... a scan_kernel section missing its mmap row is flagged at any
+        // pr: that row is the mmap evidence ...
+        let partial = scan_kernel_over(&["mem", "disk"]);
+        let problems = validate_baseline(&doc_of(9.0, vec![run_on("disk", "wire")], Some(partial)));
         assert!(
             problems
                 .iter()
@@ -1088,14 +1088,23 @@ mod tests {
         );
         // ... and the full PR 10 evidence validates clean, with the mmap
         // storage tag accepted as vocabulary.
+        let runs = all.iter().map(|s| run_on(s, "wire")).collect();
         assert_eq!(
-            validate_baseline(&doc_of(
-                10.0,
-                vec![run_on("mem"), run_on("disk"), run_on("mmap")],
-                Some(scan_kernel)
-            )),
+            validate_baseline(&doc_of(10.0, runs, Some(scan_kernel_over(&all)))),
             Vec::<String>::new()
         );
+    }
+
+    #[test]
+    fn validator_accepts_tcp_runs_on_any_storage() {
+        // `perf_baseline --transport tcp --pr 13` on the default mem storage:
+        // no run is mmap-served and no tcp run carries `coalesced`
+        let doc = doc_of(
+            13.0,
+            vec![run_on("mem", "tcp"), run_on("mem", "tcp")],
+            Some(scan_kernel_over(&["mem", "disk", "mmap"])),
+        );
+        assert_eq!(validate_baseline(&doc), Vec::<String>::new());
     }
 
     #[test]

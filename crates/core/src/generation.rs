@@ -279,8 +279,8 @@ impl DbRegistry {
     }
 
     /// [`DbRegistry::serve_wire`] with explicit front-end knobs. Round
-    /// coalescing composes with swaps: a parked batch never spans
-    /// generations (the front flushes the old batch first).
+    /// coalescing composes with swaps: rounds share a pass only with rounds
+    /// of sessions pinned to the same generation.
     pub fn serve_wire_with(self: &Arc<Self>, cfg: FrontConfig) -> ServerFront {
         let source: Arc<dyn GenerationSource> = Arc::clone(self) as Arc<dyn GenerationSource>;
         ServerFront::spawn_swappable(source, cfg)

@@ -120,6 +120,15 @@ pub trait ObliviousStore: Send {
     fn log_overflow(&self) -> Option<LogOverflow> {
         None
     }
+    /// True when one [`ObliviousStore::fetch_batch`] may serve fetches from
+    /// different sessions at once: the replies and the store's state do not
+    /// depend on how fetches are grouped into batches (a stateless full
+    /// scan). The wire front lets such a file's rounds share one pass.
+    /// Stateful stores (shuffled epochs, fault injectors) keep the default
+    /// `false`.
+    fn coalescable(&self) -> bool {
+        false
+    }
 }
 
 /// Trivial information-theoretic PIR: every fetch scans the whole file.
@@ -254,6 +263,10 @@ impl ObliviousStore for LinearScanStore {
 
     fn log_overflow(&self) -> Option<LogOverflow> {
         self.log.overflow()
+    }
+
+    fn coalescable(&self) -> bool {
+        true
     }
 }
 

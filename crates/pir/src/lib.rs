@@ -41,8 +41,9 @@
 //!   clients over byte channels, with per-session server-side accounting,
 //!   recorded adversary-observable frame streams, retry policies and
 //!   graceful degradation (panic teardown, idle eviction, shutdown drains),
-//!   plus cross-session round coalescing (concurrently pending rounds
-//!   merged into one linear-scan sweep) and chunked response streaming;
+//!   plus self-clocked cross-session round coalescing (rounds queued behind
+//!   a running pass share the next pass over their linear-scan file) and
+//!   chunked response streaming;
 //! * [`wire::tcp`] — the same frames over real loopback sockets: a
 //!   [`TcpFront`] accept loop with per-connection reader/writer threads and
 //!   graceful drain, and the [`TcpLink`] client [`FrameLink`];

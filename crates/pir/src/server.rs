@@ -129,12 +129,10 @@ struct ServedFile {
     /// reshuffles), so concurrent sessions serialize on this lock; the
     /// cost-only default (`None`) reads `plain` without locking.
     store: Option<Mutex<Box<dyn ObliviousStore>>>,
-    /// True when a fetch of this file is a pure function of the request —
-    /// a linear-scan store whose one-pass sweep reads state-independent
-    /// content — so requests from *different* sessions may be merged into
-    /// one batched sweep without changing any reply. Stateful stores
-    /// (shuffled epochs, fault injectors) and externally supplied stores
-    /// are never coalescable.
+    /// True when requests from *different* sessions may be merged into one
+    /// pass over this file without changing any reply: the store says so
+    /// ([`ObliviousStore::coalescable`] — a linear scan does; shuffled
+    /// epochs and fault injectors do not). Cost-only files never are.
     coalescable: bool,
 }
 
@@ -183,7 +181,6 @@ impl PirServer {
                 max_pages: self.spec.max_file_pages(),
             });
         }
-        let coalescable = matches!(mode, PirMode::LinearScan);
         let store: Option<Box<dyn ObliviousStore>> = match &mode {
             PirMode::CostOnly => None,
             PirMode::LinearScan => Some(Box::new(LinearScanStore::from_driver(Arc::clone(&file)))),
@@ -200,8 +197,8 @@ impl PirServer {
             name: name.to_string(),
             plain: file,
             mode: Some(mode),
+            coalescable: store.as_ref().is_some_and(|s| s.coalescable()),
             store: store.map(Mutex::new),
-            coalescable,
         });
         Ok(FileId((self.files.len() - 1) as u16))
     }
@@ -209,7 +206,9 @@ impl PirServer {
     /// Registers a file served through an explicit oblivious store (build
     /// phase only). The chaos suite uses this to inject misbehaving stores
     /// ([`crate::chaos::PanicStore`]) and prove the server loop survives
-    /// them; production callers use [`PirServer::add_file`].
+    /// them; production callers use [`PirServer::add_file`]. Rounds on the
+    /// file share passes across sessions iff the store is
+    /// [`ObliviousStore::coalescable`].
     pub fn add_file_with_store(
         &mut self,
         name: &str,
@@ -227,8 +226,8 @@ impl PirServer {
             name: name.to_string(),
             plain: Arc::new(file),
             mode: None,
+            coalescable: store.coalescable(),
             store: Some(Mutex::new(store)),
-            coalescable: false,
         });
         Ok(FileId((self.files.len() - 1) as u16))
     }
@@ -261,8 +260,8 @@ impl PirServer {
     }
 
     /// True when fetches of file `f` may be merged across sessions into one
-    /// batched sweep (see `ServedFile::coalescable`). Unknown files are not
-    /// coalescable — the immediate serve path produces the error for them.
+    /// pass (see `ServedFile::coalescable`). Unknown files are not
+    /// coalescable — a round on one is served alone and gets the error.
     pub fn file_coalescable(&self, f: FileId) -> bool {
         self.file(f).map(|sf| sf.coalescable).unwrap_or(false)
     }

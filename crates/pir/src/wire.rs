@@ -635,10 +635,10 @@ pub struct SessionStats {
     /// Retransmitted requests answered from the reply cache (no store
     /// access, no epoch advance).
     pub retransmits: u64,
-    /// Rounds of this session that were served from a sweep shared with at
-    /// least one *other* session's round (see
-    /// [`FrontConfig::coalesce_window`]). Purely server-side accounting:
-    /// the reply and the observable stream are unaffected.
+    /// Rounds of this session whose file pass was shared with another
+    /// session's round (see [`ServerFront`], "Self-clocked round
+    /// coalescing"). Purely server-side accounting: the reply and the
+    /// observable stream are unaffected.
     pub coalesced_rounds: u64,
     /// Frames that failed structural validation (crc mismatch, truncation).
     pub malformed: u64,
@@ -707,28 +707,14 @@ pub(crate) enum ToServer {
     Shutdown,
 }
 
-/// Degradation and throughput knobs for a [`ServerFront`].
+/// Degradation knobs for a [`ServerFront`]. Round coalescing has none: it
+/// is self-clocked (see [`ServerFront`]).
 #[derive(Debug, Clone, Default)]
 pub struct FrontConfig {
     /// Evict sessions that have not sent a frame for this long: the session
     /// is marked closed + evicted and the client observes a severed channel
     /// on its next request. `None` (the default) disables eviction.
     pub idle_timeout: Option<Duration>,
-    /// Hold a coalescable round request (every fetch targets a
-    /// linear-scan-served file) for up to this long, merging concurrently
-    /// pending rounds from *other* sessions into one batched sweep before
-    /// serving them all. `None` (the default) serves every round
-    /// immediately — the exact legacy behavior. The paper charges the
-    /// server one linear scan per round, so a shared sweep divides the scan
-    /// cost across every client in the batch; replies are demultiplexed per
-    /// session and each client's observable stream and reply bytes are
-    /// bit-identical to a solo run (see the leakage differential in
-    /// `tests/leakage.rs`).
-    pub coalesce_window: Option<Duration>,
-    /// Flush a pending coalesced batch as soon as it holds this many page
-    /// fetches, without waiting out the window. `0` means no fetch-count
-    /// bound (the window alone flushes).
-    pub coalesce_max_batch: usize,
     /// Stream server replies larger than this as [`K_CHUNK`]-framed slices
     /// (each with its own crc), bounding the peak bytes a transport buffers
     /// per reply. `None` (the default) sends every reply as one frame.
@@ -747,6 +733,26 @@ pub struct FrontConfig {
 /// deadline ([`FrontConfig::idle_timeout`]), and
 /// [`ServerFront::shutdown`] drains every frame already queued before the
 /// loop exits, so in-flight rounds complete.
+///
+/// # Self-clocked round coalescing
+///
+/// The paper charges the server one linear scan per PIR round, so rounds
+/// from different sessions waiting on the same file should share one pass.
+/// The loop batches by its own clock instead of a timer: when it wakes on a
+/// message it takes everything already queued behind it, and the rounds in
+/// that drained set that may share a pass — every fetch an in-range page of
+/// the same linear-scan file, sessions pinned to the same generation — are
+/// served by one `serve_requests` call. A lone round is a batch of one,
+/// served the moment the loop reaches it. Passes run in the order each
+/// batch's first round arrived, and every round is answered as soon as its
+/// own pass ends, so no frame is answered later than serving the drained
+/// set one frame at a time would answer it (a merged pass costs one pass,
+/// not one per round: the lane kernel's work per page does not depend on
+/// the request set). A round never jumps ahead of an earlier message from
+/// its own client. Replies are demultiplexed per session, and each
+/// client's reply bytes and observable stream are bit-identical to a solo
+/// run (see the leakage differential in `tests/leakage.rs`);
+/// [`SessionStats::coalesced_rounds`] counts the shared passes.
 pub struct ServerFront {
     to_server: mpsc::Sender<ToServer>,
     shared: Arc<Mutex<FrontShared>>,
@@ -974,606 +980,172 @@ fn server_loop(
     shared: Arc<Mutex<FrontShared>>,
     cfg: FrontConfig,
 ) {
-    let mut latest = GenEntry::resolve(&*source);
-    let mut clients: BTreeMap<u64, ClientState> = BTreeMap::new();
-    let mut next_session: u64 = 1;
-    // serving scratch, reused across every client and frame
-    let mut reqs: Vec<(FileId, u32)> = Vec::new();
-    let mut run_pages: Vec<u32> = Vec::new();
-    let mut arena: Vec<PageBuf> = Vec::new();
-    // rounds parked in the coalesce window, flushed as one batched sweep
-    let mut pending: Vec<PendingRound> = Vec::new();
-    let mut flush_at: Option<Instant> = None;
-    let max_batch = match cfg.coalesce_max_batch {
-        0 => usize::MAX,
-        n => n,
-    };
-
+    let mut front = FrontLoop::new(source, shared, cfg.chunk_bytes);
     // Eviction needs the loop to wake even when no frames arrive — and it
     // must also run while frames *do* arrive (a busy neighbour must not
-    // keep an idle session alive), so the deadline is rechecked between
-    // frames too, rate-limited to one sweep per tick.
+    // keep an idle session alive), so the deadline is rechecked after every
+    // drain too, rate-limited to one sweep per tick.
     let tick = cfg
         .idle_timeout
         .map(|t| (t / 4).clamp(Duration::from_millis(5), Duration::from_millis(250)));
     let mut last_sweep = Instant::now();
-
     let mut draining = false;
     loop {
-        if let Some(tick) = tick {
-            if !draining && last_sweep.elapsed() >= tick {
-                // A round parked by a client that is about to be evicted
-                // (or whose channel already vanished) must not stall its
-                // co-parked neighbours until window expiry: flush the batch
-                // first, mirroring the flush-on-disconnect path, then
-                // evict. The idle owner still gets its reply if its channel
-                // is alive — eviction severs the channel, not the frames
-                // already owed to it.
-                if let Some(deadline) = cfg.idle_timeout {
-                    let now = Instant::now();
-                    let stalling = pending.iter().any(|p| {
-                        clients
-                            .get(&p.client)
-                            .is_none_or(|s| now.duration_since(s.last_active) >= deadline)
-                    });
-                    if stalling {
-                        flush_pending(
-                            &shared,
-                            &mut clients,
-                            &mut pending,
-                            &mut run_pages,
-                            &mut arena,
-                            cfg.chunk_bytes,
-                        );
-                        flush_at = None;
-                    }
-                }
-                evict_idle(&mut clients, &shared, cfg.idle_timeout);
-                last_sweep = Instant::now();
-            }
-        }
-        let msg = if draining {
+        // Self-clocked batching: wait for one message, then take everything
+        // already queued behind it. The drained set is served in full before
+        // the loop waits again, so no round is ever held back on a timer.
+        let first = if draining {
             // Shutdown received: serve everything already queued, then stop.
             match rx.try_recv() {
-                Ok(m) => m,
+                Ok(m) => Some(m),
                 Err(_) => break,
             }
         } else {
-            // Sleep until the next frame, capped by the eviction tick and
-            // by the coalesce-window deadline when a batch is parked.
-            let wait = match (tick, flush_at) {
-                (None, None) => None,
-                (Some(t), None) => Some(t),
-                (t, Some(at)) => {
-                    let until = at.saturating_duration_since(Instant::now());
-                    Some(t.map_or(until, |t| t.min(until)))
-                }
-            };
-            match wait {
+            match tick {
                 None => match rx.recv() {
-                    Ok(m) => m,
+                    Ok(m) => Some(m),
                     Err(_) => break,
                 },
-                Some(w) => match rx.recv_timeout(w) {
-                    Ok(m) => m,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if flush_at.is_some_and(|at| Instant::now() >= at) {
-                            flush_pending(
-                                &shared,
-                                &mut clients,
-                                &mut pending,
-                                &mut run_pages,
-                                &mut arena,
-                                cfg.chunk_bytes,
-                            );
-                            flush_at = None;
-                        }
-                        continue;
-                    }
+                Some(t) => match rx.recv_timeout(t) {
+                    Ok(m) => Some(m),
+                    Err(mpsc::RecvTimeoutError::Timeout) => None,
                     Err(mpsc::RecvTimeoutError::Disconnected) => break,
                 },
             }
         };
-        match msg {
-            ToServer::Connect { client, resp } => {
-                clients.insert(
-                    client,
-                    ClientState {
-                        resp,
-                        session: None,
-                        gen: Arc::clone(&latest),
-                        last_round: 0,
-                        last_seq: 0,
-                        last_reply: Vec::new(),
-                        last_observed: None,
-                        last_active: Instant::now(),
-                    },
-                );
+        let mut drained: Vec<Option<ToServer>> =
+            first.into_iter().chain(rx.try_iter()).map(Some).collect();
+        if let (Some(tick), Some(deadline)) = (tick, cfg.idle_timeout) {
+            if !draining && last_sweep.elapsed() >= tick {
+                front.evict_idle(deadline, &drained);
+                last_sweep = Instant::now();
             }
-            ToServer::Disconnect { client } => {
-                if pending.iter().any(|p| p.client == client) {
-                    // serve the parked batch before the participant goes
-                    // away, so neighbours' rounds are unaffected
-                    flush_pending(
-                        &shared,
-                        &mut clients,
-                        &mut pending,
-                        &mut run_pages,
-                        &mut arena,
-                        cfg.chunk_bytes,
-                    );
-                    flush_at = None;
-                }
-                if let Some(state) = clients.remove(&client) {
-                    if let Some(sid) = state.session {
-                        if let Some(stats) = lock_shared(&shared).sessions.get_mut(&sid) {
-                            stats.closed = true;
-                        }
-                    }
-                }
-            }
-            ToServer::Shutdown => {
-                flush_pending(
-                    &shared,
-                    &mut clients,
-                    &mut pending,
-                    &mut run_pages,
-                    &mut arena,
-                    cfg.chunk_bytes,
-                );
-                flush_at = None;
-                draining = true;
-            }
-            ToServer::Frame { client, bytes } => {
-                if let Some(idx) = pending.iter().position(|p| p.client == client) {
-                    if pending[idx].bytes == bytes {
-                        // Retransmission of the parked request (the client's
-                        // attempt window elapsed inside the coalesce
-                        // window): the flush will answer it; resending now
-                        // would serve the round twice.
-                        let sid = pending[idx].sid;
-                        if let Some(stats) = lock_shared(&shared).sessions.get_mut(&sid) {
-                            stats.retransmits += 1;
-                        }
-                        if let Some(state) = clients.get_mut(&client) {
-                            state.last_active = Instant::now();
-                        }
-                        continue;
-                    }
-                    // Any other frame from a client with a parked round
-                    // would reorder its channel: serve the batch first.
-                    flush_pending(
-                        &shared,
-                        &mut clients,
-                        &mut pending,
-                        &mut run_pages,
-                        &mut arena,
-                        cfg.chunk_bytes,
-                    );
-                    flush_at = None;
-                }
-                // The cutover point: a SessionOpen on a channel with no open
-                // session re-resolves the source and re-pins the channel, so
-                // sessions opened after a swap serve the new generation.
-                // The open-session guard keeps a *retransmitted* SessionOpen
-                // from re-pinning a live session; the unvalidated kind-byte
-                // peek is only a hint — worst case a malformed frame
-                // re-pins a sessionless channel, which changes nothing.
-                if bytes.len() >= HEADER_BYTES && bytes[11] == K_SESSION_OPEN {
-                    if let Some(state) = clients.get_mut(&client) {
-                        if state.session.is_none() {
-                            let (cur_id, cur_host) = source.current_generation();
-                            if cur_id != latest.id {
-                                latest = Arc::new(GenEntry::new(cur_id, cur_host));
-                            }
-                            state.gen = Arc::clone(&latest);
-                        }
-                    }
-                }
-                if cfg.coalesce_window.is_some() && !draining {
-                    let Some(state) = clients.get_mut(&client) else {
-                        continue; // unknown client: nowhere to reply
-                    };
-                    state.last_active = Instant::now();
-                    let gen = Arc::clone(&state.gen);
-                    // A batch never spans generations: a parked sweep from
-                    // an older generation flushes before a newer-generation
-                    // round may park (swaps are rare; the lost batching
-                    // window is one flush).
-                    if pending.first().is_some_and(|p| p.gen.id != gen.id) {
-                        flush_pending(
-                            &shared,
-                            &mut clients,
-                            &mut pending,
-                            &mut run_pages,
-                            &mut arena,
-                            cfg.chunk_bytes,
-                        );
-                        flush_at = None;
-                    }
-                    let Some(state) = clients.get_mut(&client) else {
-                        continue; // the flush found this client's channel dead
-                    };
-                    if let Some(p) = try_defer_round(&gen, state, client, &bytes) {
-                        pending.push(p);
-                        if flush_at.is_none() {
-                            flush_at =
-                                Some(Instant::now() + cfg.coalesce_window.unwrap_or_default());
-                        }
-                        if pending.iter().map(|p| p.reqs.len()).sum::<usize>() >= max_batch {
-                            flush_pending(
-                                &shared,
-                                &mut clients,
-                                &mut pending,
-                                &mut run_pages,
-                                &mut arena,
-                                cfg.chunk_bytes,
-                            );
-                            flush_at = None;
-                        }
-                        continue;
-                    }
-                }
-                let Some(state) = clients.get_mut(&client) else {
-                    continue; // unknown client: nowhere to reply
-                };
-                state.last_active = Instant::now();
-                let session_before = state.session;
-                let gen = Arc::clone(&state.gen);
-                // A panicking handler (a buggy or sabotaged store) must not
-                // kill the loop: catch it, tear down this session only, and
-                // keep serving everyone else. The scratch vectors are safe
-                // to reuse — every handler clears them before use.
-                let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    handle_frame(
-                        &gen,
-                        &shared,
-                        state,
-                        &mut next_session,
-                        &bytes,
-                        &mut reqs,
-                        &mut run_pages,
-                        &mut arena,
-                    )
-                }));
-                match reply {
-                    Ok(reply) => {
-                        let frames = chunk_reply(reply, cfg.chunk_bytes);
-                        let out_len: usize = frames.iter().map(|f| f.len()).sum();
-                        // attribute bytes to the frame's session: the one
-                        // open before the frame (covers SessionClose, which
-                        // clears it) or the one it just opened (SessionOpen)
-                        if let Some(sid) = session_before.or(state.session) {
-                            let mut lock = lock_shared(&shared);
-                            if let Some(stats) = lock.sessions.get_mut(&sid) {
-                                stats.bytes_in += bytes.len() as u64;
-                                stats.bytes_out += out_len as u64;
-                            }
-                        }
-                        let mut dead = false;
-                        for f in frames {
-                            if state.resp.send(f).is_err() {
-                                dead = true;
-                                break;
-                            }
-                        }
-                        if dead {
-                            clients.remove(&client);
-                        }
-                    }
-                    Err(_) => {
-                        if let Some(sid) = session_before.or(state.session) {
-                            let mut lock = lock_shared(&shared);
-                            if let Some(stats) = lock.sessions.get_mut(&sid) {
-                                stats.panics += 1;
-                                stats.closed = true;
-                            }
-                        }
-                        let _ = state.resp.send(encode_error(
-                            SEQ_UNPARSED,
-                            ERR_INTERNAL,
-                            "handler panicked; session torn down",
-                        ));
-                        clients.remove(&client);
-                    }
-                }
+        }
+        for i in 0..drained.len() {
+            let (head, later) = drained.split_at_mut(i + 1);
+            // `None`: a round already served in an earlier message's pass
+            let Some(msg) = head[i].take() else { continue };
+            match msg {
+                ToServer::Connect { client, resp } => front.connect(client, resp),
+                ToServer::Disconnect { client } => front.disconnect(client),
+                ToServer::Shutdown => draining = true,
+                ToServer::Frame { client, bytes } => front.frame(client, &bytes, later),
             }
         }
     }
-    // a batch can still be parked if every sender vanished mid-window
-    flush_pending(
-        &shared,
-        &mut clients,
-        &mut pending,
-        &mut run_pages,
-        &mut arena,
-        cfg.chunk_bytes,
-    );
-    // graceful shutdown: mark every open session closed
-    let mut lock = lock_shared(&shared);
-    for state in clients.values() {
-        if let Some(sid) = state.session {
-            if let Some(stats) = lock.sessions.get_mut(&sid) {
-                stats.closed = true;
-            }
-        }
-    }
+    front.close_all();
 }
 
-/// One round request parked in the coalesce window, with everything the
-/// flush needs to mirror the immediate path exactly: the observation is
-/// recorded, the stats advance and the replay cache updates at flush time,
-/// in arrival order, so a coalesced session's stream and counters are
-/// bit-identical to a solo run's.
-struct PendingRound {
+/// A validated, fresh `RoundRequest`, parsed once by [`parse_round`]. It is
+/// served by exactly one pass ([`FrontLoop::serve_batch`], alone or shared)
+/// and settled once ([`FrontLoop::settle_round`]).
+struct Round {
     client: u64,
     sid: u64,
     seq: u32,
-    /// The generation the owning session is pinned to. Every round in one
-    /// batch shares it (the loop flushes before parking across a swap), so
-    /// the flush serves from exactly one generation's stores.
-    gen: Arc<GenEntry>,
-    /// Original frame bytes (retransmit detection + `bytes_in` accounting).
-    bytes: Vec<u8>,
-    /// Whether the round number advanced (counts toward `rounds`).
-    new_round: bool,
-    /// The parsed fetch list, pre-validated against the file table.
+    round: u32,
+    /// The round cursor before this round: a transient serve failure rolls
+    /// back to it, and `round != prev_round` counts a new round.
+    prev_round: u32,
     reqs: Vec<(FileId, u32)>,
-    /// The masked observation, recorded at flush.
-    masked: Vec<u8>,
+    /// Frame bytes received (`bytes_in` accounting).
+    bytes_in: u64,
+    /// The file this round may share a pass over with other sessions'
+    /// rounds: set when every fetch is an in-range page of one coalescable
+    /// (linear-scan) file. Stateful stores must advance per client and in
+    /// order, and one client's bad fetch must never fail a neighbour's pass,
+    /// so every other round is served alone.
+    pass_file: Option<FileId>,
 }
 
-/// Decides whether a frame can join the coalesce batch: it must be a fresh,
-/// well-formed `RoundRequest` for this channel's open session, in round
-/// order, whose every fetch is an in-range page of a linear-scan-served
-/// file. Anything else — retransmissions, protocol errors, stateful stores
-/// (a shuffled store's epoch must advance per-client, in order), pages out
-/// of range (one client's bad fetch must never fail a neighbour's batch) —
-/// returns `None` and takes the immediate path, which produces the
-/// authoritative reply. On success the round-order cursor advances; every
-/// other side effect happens at flush.
-fn try_defer_round(
-    gen: &Arc<GenEntry>,
-    state: &mut ClientState,
+/// Parses and validates a `RoundRequest` payload against its channel — the
+/// one `RoundRequest` parser. It changes nothing: the caller admits the
+/// round with [`admit_round`]. `Err` is the error reply.
+fn parse_round(
+    server: &crate::server::PirServer,
+    state: &ClientState,
     client: u64,
-    bytes: &[u8],
-) -> Option<PendingRound> {
-    let server = gen.server();
-    if bytes.len() > MAX_REQUEST_BYTES {
-        return None;
-    }
-    let frame = split_frame(bytes).ok()?;
-    if frame.kind != K_ROUND_REQ || !frame.rest.is_empty() {
-        return None;
-    }
+    frame: &Frame<'_>,
+    bytes_in: usize,
+) -> std::result::Result<Round, Vec<u8>> {
     let seq = frame.seq;
-    if seq == 0 || seq == SEQ_UNPARSED || seq != advance_seq(state.last_seq) {
-        return None;
-    }
     let mut r = ByteReader::new(frame.payload);
     let (sid, round, k) = match (r.u64(), r.u32(), r.u32()) {
         (Ok(s), Ok(ro), Ok(k)) => (s, ro, k as usize),
-        _ => return None,
+        _ => return Err(encode_error(seq, ERR_MALFORMED, "truncated RoundRequest")),
     };
     if state.session != Some(sid) {
-        return None;
+        return Err(encode_error(
+            seq,
+            ERR_SESSION,
+            "RoundRequest for a session not open here",
+        ));
     }
-    let mut reqs = Vec::with_capacity(k.min(bytes.len() / 6 + 1));
+    let mut reqs = Vec::with_capacity(k.min(frame.payload.len() / 6));
     for _ in 0..k {
         match (r.u16(), r.u32()) {
             (Ok(f), Ok(p)) => reqs.push((FileId(f), p)),
-            _ => return None,
+            _ => return Err(encode_error(seq, ERR_MALFORMED, "truncated fetch list")),
         }
     }
-    if reqs.is_empty() {
-        return None;
-    }
+    // A round either continues (same number — a sub-round exchange, e.g.
+    // the HY continuation walk) or advances by exactly one.
     if round != state.last_round && round != state.last_round + 1 {
-        return None;
+        return Err(encode_error(
+            seq,
+            ERR_ROUND_ORDER,
+            &format!("round {round} after round {}", state.last_round),
+        ));
     }
-    for &(f, page) in &reqs {
-        if !server.file_coalescable(f) || page >= server.file_pages(f).ok()? {
-            return None;
+    let pass_file = match reqs.first() {
+        Some(&(f, _))
+            if server.file_coalescable(f)
+                && server
+                    .file_pages(f)
+                    .is_ok_and(|n| reqs.iter().all(|&(rf, p)| rf == f && p < n)) =>
+        {
+            Some(f)
         }
-    }
-    let new_round = round == state.last_round + 1;
-    state.last_round = round;
-    let masked = encode_round_request(seq, 0, round, &reqs, true);
-    Some(PendingRound {
+        _ => None,
+    };
+    Ok(Round {
         client,
         sid,
         seq,
-        gen: Arc::clone(gen),
-        bytes: bytes.to_vec(),
-        new_round,
+        round,
+        prev_round: state.last_round,
         reqs,
-        masked,
+        bytes_in: bytes_in as u64,
+        pass_file,
     })
 }
 
-/// Serves a parked batch as one merged sweep and demultiplexes the replies.
-/// The flat fetch list is stably grouped by file, so the batched serve path
-/// folds every same-file request — across sessions — into a single store
-/// `fetch_batch` (for a linear-scan store: one pass over the file). Each
-/// participant is then settled in arrival order exactly as the immediate
-/// path would have: observation recorded, stats advanced, replay cache
-/// updated, reply (chunked if configured) sent.
-fn flush_pending(
-    shared: &Arc<Mutex<FrontShared>>,
-    clients: &mut BTreeMap<u64, ClientState>,
-    pending: &mut Vec<PendingRound>,
-    run_pages: &mut Vec<u32>,
-    arena: &mut Vec<PageBuf>,
-    chunk_bytes: Option<usize>,
-) {
-    if pending.is_empty() {
-        return;
+/// Admits a parsed round: advances the round cursor and records the masked
+/// observation (the adversary sees the request whether or not its serve
+/// succeeds).
+fn admit_round(shared: &Mutex<FrontShared>, state: &mut ClientState, round: &Round) {
+    state.last_round = round.round;
+    let masked = encode_round_request(round.seq, 0, round.round, &round.reqs, true);
+    if let Some(stats) = lock_shared(shared).sessions.get_mut(&round.sid) {
+        stats.record_observed(&masked);
     }
-    let batch: Vec<PendingRound> = std::mem::take(pending);
-    // single-generation invariant: the park path flushes before admitting a
-    // round from a different generation, so batch[0] speaks for all
-    let gen = Arc::clone(&batch[0].gen);
-    let server = gen.server();
-    let page_size = gen.page_size;
-    // provenance-tagged flat fetch list: (file, page, entry, slot)
-    let mut flat: Vec<(FileId, u32, usize, usize)> = Vec::new();
-    for (e, p) in batch.iter().enumerate() {
-        for (s, &(f, page)) in p.reqs.iter().enumerate() {
-            flat.push((f, page, e, s));
-        }
-    }
-    // stable by file: same-file requests become one run, per-entry fetch
-    // order within a file is preserved
-    flat.sort_by_key(|&(f, _, _, _)| f.0);
-    let merged: Vec<(FileId, u32)> = flat.iter().map(|&(f, p, _, _)| (f, p)).collect();
-    let mut slot_of: Vec<Vec<usize>> = batch.iter().map(|p| vec![0usize; p.reqs.len()]).collect();
-    for (pos, &(_, _, e, s)) in flat.iter().enumerate() {
-        slot_of[e][s] = pos;
-    }
-    while arena.len() < merged.len() {
-        arena.push(PageBuf::zeroed(page_size));
-    }
-    for buf in arena.iter_mut().take(merged.len()) {
-        if buf.len() != page_size {
-            *buf = PageBuf::zeroed(page_size);
-        }
-    }
-    let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        server.serve_requests(&merged, run_pages, &mut arena[..merged.len()])
-    }));
-    let Ok(result) = served else {
-        // a panicking store tears down every participating session — the
-        // same degradation the immediate path applies to one
-        for p in &batch {
-            if let Some(stats) = lock_shared(shared).sessions.get_mut(&p.sid) {
-                stats.panics += 1;
-                stats.closed = true;
-            }
-            if let Some(state) = clients.get(&p.client) {
-                let _ = state.resp.send(encode_error(
-                    SEQ_UNPARSED,
-                    ERR_INTERNAL,
-                    "handler panicked; session torn down",
-                ));
-            }
-            clients.remove(&p.client);
-        }
-        return;
-    };
-    // pre-validation makes per-entry serve errors impossible, so any error
-    // here is store-global (poisoning, a disk fault) and every participant
-    // sees it. A *transient* storage fault is answered with the retryable
-    // ERR_SERVE_TRANSIENT and deliberately NOT cached: the round cursor is
-    // rolled back so each participant's retransmission re-enters the serve
-    // path (park or immediate) and re-executes against the recovered disk.
-    let transient = matches!(&result, Err(e) if e.is_transient_storage());
-    let shared_sweep = {
-        let mut sids: Vec<u64> = batch.iter().map(|p| p.sid).collect();
-        sids.sort_unstable();
-        sids.dedup();
-        sids.len() > 1
-    };
-    for (e, p) in batch.iter().enumerate() {
-        let reply = match &result {
-            Ok(()) => {
-                let pages: Vec<PageBuf> =
-                    slot_of[e].iter().map(|&pos| arena[pos].clone()).collect();
-                encode_round_response(p.seq, &pages, page_size)
-            }
-            Err(err) => {
-                let code = if transient {
-                    ERR_SERVE_TRANSIENT
-                } else {
-                    ERR_SERVE
-                };
-                encode_error(p.seq, code, &format!("{err}"))
-            }
-        };
-        let frames = chunk_reply(reply.clone(), chunk_bytes);
-        let out_len: usize = frames.iter().map(|f| f.len()).sum();
-        {
-            let mut lock = lock_shared(shared);
-            if let Some(stats) = lock.sessions.get_mut(&p.sid) {
-                stats.record_observed(&p.masked);
-                stats.bytes_in += p.bytes.len() as u64;
-                stats.bytes_out += out_len as u64;
-                if result.is_ok() {
-                    stats.fetches += p.reqs.len() as u64;
-                    if p.new_round {
-                        stats.rounds += 1;
-                    }
-                    if shared_sweep {
-                        stats.coalesced_rounds += 1;
-                    }
-                }
-            }
-        }
-        if let Some(state) = clients.get_mut(&p.client) {
-            if transient {
-                // not cached: the retransmit must re-execute, not replay the
-                // failure. Roll the round cursor back to where the park
-                // advanced it from so the retry passes the round-order check.
-                if p.new_round {
-                    state.last_round -= 1;
-                }
-            } else {
-                state.last_seq = p.seq;
-                state.last_reply = reply;
-                state.last_observed = Some((p.sid, p.masked.clone()));
-            }
-            let mut dead = false;
-            for f in frames {
-                if state.resp.send(f).is_err() {
-                    dead = true;
-                    break;
-                }
-            }
-            if dead {
-                clients.remove(&p.client);
-            }
-        }
-    }
+    state.last_observed = Some((round.sid, masked));
 }
 
-/// Drops clients idle past the deadline: their sessions are marked closed +
-/// evicted and their response senders are dropped, so the client observes a
-/// severed channel on its next request.
-fn evict_idle(
-    clients: &mut BTreeMap<u64, ClientState>,
-    shared: &Mutex<FrontShared>,
-    idle_timeout: Option<Duration>,
-) {
-    let Some(deadline) = idle_timeout else { return };
-    let now = Instant::now();
-    clients.retain(|_, state| {
-        if now.duration_since(state.last_active) < deadline {
-            return true;
-        }
-        if let Some(sid) = state.session {
-            if let Some(stats) = lock_shared(shared).sessions.get_mut(&sid) {
-                stats.closed = true;
-                stats.evicted = true;
-            }
-        }
-        false
-    });
+/// How a request frame stands against its channel's sequence.
+enum Request<'a> {
+    /// The channel's next request, structurally valid.
+    Fresh(Frame<'a>),
+    /// A resend of the last accepted request: answered from the replay cache.
+    Retransmit,
+    /// Refused with this error reply. `malformed` marks a frame that failed
+    /// structural validation (crc mismatch, truncation).
+    Reject { reply: Vec<u8>, malformed: bool },
 }
 
-/// Serves one client frame and produces the reply frame. Never panics on
-/// malformed input — every failure becomes an `Error` frame. Duplicate
-/// sequence numbers are answered from the per-client reply cache without
-/// touching any store (idempotent replay).
-#[allow(clippy::too_many_arguments)]
-fn handle_frame(
-    gen: &GenEntry,
-    shared: &Arc<Mutex<FrontShared>>,
-    state: &mut ClientState,
-    next_session: &mut u64,
-    bytes: &[u8],
-    reqs: &mut Vec<(FileId, u32)>,
-    run_pages: &mut Vec<u32>,
-    arena: &mut Vec<PageBuf>,
-) -> Vec<u8> {
+/// Checks a request frame's structure and sequence number. Changes nothing.
+fn classify(last_seq: u32, bytes: &[u8]) -> Request<'_> {
+    let reject = |reply, malformed| Request::Reject { reply, malformed };
     let frame = match split_frame(bytes) {
         Ok(f) => f,
         Err(e) => {
@@ -1582,100 +1154,442 @@ fn handle_frame(
             } else {
                 ERR_MALFORMED
             };
+            return reject(encode_error(SEQ_UNPARSED, code, &format!("{e}")), true);
+        }
+    };
+    let seq = frame.seq;
+    if !frame.rest.is_empty() {
+        return reject(
+            encode_error(seq, ERR_MALFORMED, "trailing bytes after frame"),
+            false,
+        );
+    }
+    if bytes.len() > MAX_REQUEST_BYTES {
+        return reject(
+            encode_error(seq, ERR_MALFORMED, "oversized request frame"),
+            false,
+        );
+    }
+    if seq == 0 || seq == SEQ_UNPARSED {
+        return reject(
+            encode_error(seq, ERR_SEQ, &format!("reserved sequence number {seq}")),
+            false,
+        );
+    }
+    if seq == last_seq {
+        return Request::Retransmit;
+    }
+    if seq != advance_seq(last_seq) {
+        // Not the cached request and not the next fresh one: the channel
+        // lost sync (or a stale duplicate outlived its window). Fatal — the
+        // cache does not advance. The expected successor skips the reserved
+        // values, so a channel that wraps past `u32::MAX` stays in sync with
+        // a client advancing by the same rule.
+        return reject(
+            encode_error(seq, ERR_SEQ, &format!("sequence {seq} after {last_seq}")),
+            false,
+        );
+    }
+    Request::Fresh(frame)
+}
+
+/// What serving one frame produced.
+enum Step {
+    /// The reply, already installed in the replay cache when it should be.
+    Reply(Vec<u8>),
+    /// An admitted round, answered once its pass has run.
+    Round(Round),
+}
+
+/// The loop thread's state: the client table, the generation cutover point
+/// and the buffers reused across every pass.
+struct FrontLoop {
+    source: Arc<dyn GenerationSource>,
+    /// The generation new channels pin to (re-resolved at `SessionOpen`).
+    latest: Arc<GenEntry>,
+    shared: Arc<Mutex<FrontShared>>,
+    clients: BTreeMap<u64, ClientState>,
+    next_session: u64,
+    chunk_bytes: Option<usize>,
+    reqs: Vec<(FileId, u32)>,
+    run_pages: Vec<u32>,
+    arena: Vec<PageBuf>,
+}
+
+impl FrontLoop {
+    fn new(
+        source: Arc<dyn GenerationSource>,
+        shared: Arc<Mutex<FrontShared>>,
+        chunk_bytes: Option<usize>,
+    ) -> FrontLoop {
+        FrontLoop {
+            latest: GenEntry::resolve(&*source),
+            source,
+            shared,
+            clients: BTreeMap::new(),
+            next_session: 1,
+            chunk_bytes,
+            reqs: Vec::new(),
+            run_pages: Vec::new(),
+            arena: Vec::new(),
+        }
+    }
+
+    fn connect(&mut self, client: u64, resp: mpsc::Sender<Vec<u8>>) {
+        self.clients.insert(
+            client,
+            ClientState {
+                resp,
+                session: None,
+                gen: Arc::clone(&self.latest),
+                last_round: 0,
+                last_seq: 0,
+                last_reply: Vec::new(),
+                last_observed: None,
+                last_active: Instant::now(),
+            },
+        );
+    }
+
+    fn disconnect(&mut self, client: u64) {
+        if let Some(sid) = self.clients.remove(&client).and_then(|s| s.session) {
+            if let Some(stats) = lock_shared(&self.shared).sessions.get_mut(&sid) {
+                stats.closed = true;
+            }
+        }
+    }
+
+    /// Graceful shutdown: marks every open session closed.
+    fn close_all(&mut self) {
+        let mut lock = lock_shared(&self.shared);
+        for sid in self.clients.values().filter_map(|s| s.session) {
+            if let Some(stats) = lock.sessions.get_mut(&sid) {
+                stats.closed = true;
+            }
+        }
+    }
+
+    /// Drops clients idle past the deadline: their sessions are marked
+    /// closed + evicted and their response senders are dropped, so the
+    /// client observes a severed channel on its next request. A client with
+    /// a frame in the drained set is not idle — its frame only waited
+    /// behind other clients' passes.
+    fn evict_idle(&mut self, deadline: Duration, drained: &[Option<ToServer>]) {
+        let now = Instant::now();
+        let shared = &self.shared;
+        self.clients.retain(|&id, state| {
+            let queued = drained
+                .iter()
+                .any(|m| matches!(m, Some(ToServer::Frame { client, .. }) if *client == id));
+            if queued || now.duration_since(state.last_active) < deadline {
+                return true;
+            }
             if let Some(sid) = state.session {
+                if let Some(stats) = lock_shared(shared).sessions.get_mut(&sid) {
+                    stats.closed = true;
+                    stats.evicted = true;
+                }
+            }
+            false
+        });
+    }
+
+    /// Serves one client frame. A round is served with every round in
+    /// `later` (the rest of the drained set) that can share its pass.
+    fn frame(&mut self, client: u64, bytes: &[u8], later: &mut [Option<ToServer>]) {
+        // The cutover point: a SessionOpen on a channel with no open session
+        // re-resolves the source and re-pins the channel, so sessions opened
+        // after a swap serve the new generation. The open-session guard
+        // keeps a *retransmitted* SessionOpen from re-pinning a live
+        // session; the unvalidated kind-byte peek is only a hint — worst
+        // case a malformed frame re-pins a sessionless channel, which
+        // changes nothing.
+        if bytes.len() >= HEADER_BYTES && bytes[11] == K_SESSION_OPEN {
+            if let Some(state) = self.clients.get_mut(&client) {
+                if state.session.is_none() {
+                    let (cur_id, cur_host) = self.source.current_generation();
+                    if cur_id != self.latest.id {
+                        self.latest = Arc::new(GenEntry::new(cur_id, cur_host));
+                    }
+                    state.gen = Arc::clone(&self.latest);
+                }
+            }
+        }
+        let Some(state) = self.clients.get_mut(&client) else {
+            return; // unknown client: nowhere to reply
+        };
+        state.last_active = Instant::now();
+        let session_before = state.session;
+        let gen = Arc::clone(&state.gen);
+        let (shared, next_session) = (&self.shared, &mut self.next_session);
+        // A panicking handler (a buggy or sabotaged store) must not kill the
+        // loop: catch it, tear down this session only, and keep serving
+        // everyone else.
+        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handle_frame(&gen, shared, state, client, next_session, bytes)
+        }));
+        // attribute bytes to the frame's session: the one open before the
+        // frame (covers SessionClose, which clears it) or the one it just
+        // opened (SessionOpen)
+        let sid = session_before.or(state.session);
+        match step {
+            Ok(Step::Reply(reply)) => self.send_reply(client, sid, bytes.len() as u64, reply),
+            Ok(Step::Round(round)) => {
+                let mut batch = vec![round];
+                self.gather_pass_mates(&gen, later, &mut batch);
+                self.serve_batch(&gen, &batch);
+            }
+            Err(_) => self.tear_down(client, sid),
+        }
+    }
+
+    /// Moves into `batch` every round in `later` that can share the first
+    /// round's pass: a fresh, valid round over the same file, from a session
+    /// pinned to the same generation, whose client has no earlier message
+    /// in `later`. That last rule keeps every channel in order: a round
+    /// behind its own client's reconnect, disconnect or other frame stays
+    /// where it is.
+    fn gather_pass_mates(
+        &mut self,
+        gen: &GenEntry,
+        later: &mut [Option<ToServer>],
+        batch: &mut Vec<Round>,
+    ) {
+        let Some(file) = batch[0].pass_file else {
+            return;
+        };
+        let mut seen = vec![batch[0].client];
+        for slot in later.iter_mut() {
+            let client = match slot {
+                Some(ToServer::Frame { client, .. })
+                | Some(ToServer::Connect { client, .. })
+                | Some(ToServer::Disconnect { client }) => *client,
+                Some(ToServer::Shutdown) | None => continue,
+            };
+            if seen.contains(&client) {
+                continue;
+            }
+            seen.push(client);
+            let (Some(ToServer::Frame { bytes, .. }), Some(state)) =
+                (&*slot, self.clients.get_mut(&client))
+            else {
+                continue;
+            };
+            if state.gen.id != gen.id {
+                continue; // a batch never spans generations
+            }
+            let Request::Fresh(frame) = classify(state.last_seq, bytes) else {
+                continue;
+            };
+            if frame.kind != K_ROUND_REQ {
+                continue;
+            }
+            let Ok(round) = parse_round(gen.server(), state, client, &frame, bytes.len()) else {
+                continue;
+            };
+            if round.pass_file != Some(file) {
+                continue;
+            }
+            state.last_active = Instant::now();
+            admit_round(&self.shared, state, &round);
+            batch.push(round);
+            *slot = None;
+        }
+    }
+
+    /// Serves a batch of admitted rounds with one `serve_requests` call — a
+    /// lone round exactly as sent, or several sessions' rounds over one file
+    /// as a single run, i.e. one pass — then settles each in arrival order.
+    fn serve_batch(&mut self, gen: &GenEntry, batch: &[Round]) {
+        let page_size = gen.page_size;
+        self.reqs.clear();
+        for round in batch {
+            self.reqs.extend_from_slice(&round.reqs);
+        }
+        let n = self.reqs.len();
+        while self.arena.len() < n {
+            self.arena.push(PageBuf::zeroed(page_size));
+        }
+        for buf in self.arena.iter_mut().take(n) {
+            if buf.len() != page_size {
+                *buf = PageBuf::zeroed(page_size);
+            }
+        }
+        let (reqs, run_pages, arena) = (&self.reqs, &mut self.run_pages, &mut self.arena[..n]);
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            gen.server().serve_requests(reqs, run_pages, arena)
+        }));
+        let Ok(result) = served else {
+            // a panicking store tears down every session in the pass
+            for round in batch {
+                self.tear_down(round.client, Some(round.sid));
+            }
+            return;
+        };
+        let mut start = 0;
+        for round in batch {
+            let end = start + round.reqs.len();
+            let reply = match &result {
+                Ok(()) => encode_round_response(round.seq, &self.arena[start..end], page_size),
+                Err(e) => {
+                    let code = if e.is_transient_storage() {
+                        ERR_SERVE_TRANSIENT
+                    } else {
+                        ERR_SERVE
+                    };
+                    encode_error(round.seq, code, &format!("{e}"))
+                }
+            };
+            start = end;
+            self.settle_round(round, reply, &result, batch.len() > 1);
+        }
+    }
+
+    /// Settles one served round — the only place a round's stats and replay
+    /// cache advance — and sends its reply. A transient storage fault is
+    /// answered with the retryable [`ERR_SERVE_TRANSIENT`] and deliberately
+    /// *not* cached: the round cursor rolls back, so the client's
+    /// retransmission re-executes the serve against the recovered disk.
+    fn settle_round(&mut self, round: &Round, reply: Vec<u8>, result: &Result<()>, shared: bool) {
+        if result.is_ok() {
+            if let Some(stats) = lock_shared(&self.shared).sessions.get_mut(&round.sid) {
+                stats.fetches += round.reqs.len() as u64;
+                if round.round != round.prev_round {
+                    stats.rounds += 1;
+                }
+                if shared {
+                    stats.coalesced_rounds += 1;
+                }
+            }
+        }
+        if let Some(state) = self.clients.get_mut(&round.client) {
+            if matches!(result, Err(e) if e.is_transient_storage()) {
+                state.last_round = round.prev_round;
+            } else {
+                state.last_seq = round.seq;
+                state.last_reply = reply.clone();
+            }
+        }
+        self.send_reply(round.client, Some(round.sid), round.bytes_in, reply);
+    }
+
+    /// Puts one reply on a client's link (as `Chunk` frames if it exceeds
+    /// the chunk cap), charging the frame bytes to `sid`. A client whose
+    /// channel is gone is disconnected.
+    fn send_reply(&mut self, client: u64, sid: Option<u64>, bytes_in: u64, reply: Vec<u8>) {
+        let frames = chunk_reply(reply, self.chunk_bytes);
+        if let Some(sid) = sid {
+            if let Some(stats) = lock_shared(&self.shared).sessions.get_mut(&sid) {
+                stats.bytes_in += bytes_in;
+                stats.bytes_out += frames.iter().map(|f| f.len() as u64).sum::<u64>();
+            }
+        }
+        let Some(state) = self.clients.get(&client) else {
+            return;
+        };
+        if frames.into_iter().any(|f| state.resp.send(f).is_err()) {
+            self.disconnect(client);
+        }
+    }
+
+    /// Tears down a client whose handler panicked: the session is counted
+    /// and closed, the client gets [`ERR_INTERNAL`], everyone else keeps
+    /// being served.
+    fn tear_down(&mut self, client: u64, sid: Option<u64>) {
+        if let Some(sid) = sid {
+            if let Some(stats) = lock_shared(&self.shared).sessions.get_mut(&sid) {
+                stats.panics += 1;
+                stats.closed = true;
+            }
+        }
+        if let Some(state) = self.clients.remove(&client) {
+            let _ = state.resp.send(encode_error(
+                SEQ_UNPARSED,
+                ERR_INTERNAL,
+                "handler panicked; session torn down",
+            ));
+        }
+    }
+}
+
+/// Serves one client frame. Never panics on malformed input — every failure
+/// becomes an `Error` frame. Duplicate sequence numbers are answered from
+/// the per-client reply cache without touching any store (idempotent
+/// replay). A valid `RoundRequest` is admitted and handed back for its
+/// pass; every other reply is produced here.
+fn handle_frame(
+    gen: &GenEntry,
+    shared: &Mutex<FrontShared>,
+    state: &mut ClientState,
+    client: u64,
+    next_session: &mut u64,
+    bytes: &[u8],
+) -> Step {
+    let frame = match classify(state.last_seq, bytes) {
+        Request::Fresh(frame) => frame,
+        Request::Retransmit => {
+            // The reply (or the request) was lost in flight. Replay the
+            // cached reply bytes verbatim — no store access, no epoch
+            // advance — and record the duplicate observation (the adversary
+            // saw the resend too).
+            if let Some((sid, masked)) = &state.last_observed {
+                if let Some(stats) = lock_shared(shared).sessions.get_mut(sid) {
+                    stats.retransmits += 1;
+                    stats.record_observed(masked);
+                }
+            } else if let Some(sid) = state.session {
+                if let Some(stats) = lock_shared(shared).sessions.get_mut(&sid) {
+                    stats.retransmits += 1;
+                }
+            }
+            return Step::Reply(state.last_reply.clone());
+        }
+        Request::Reject { reply, malformed } => {
+            if let (true, Some(sid)) = (malformed, state.session) {
                 if let Some(stats) = lock_shared(shared).sessions.get_mut(&sid) {
                     stats.malformed += 1;
                 }
             }
-            return encode_error(SEQ_UNPARSED, code, &format!("{e}"));
+            return Step::Reply(reply);
         }
     };
-    if !frame.rest.is_empty() {
-        return encode_error(frame.seq, ERR_MALFORMED, "trailing bytes after frame");
-    }
-    if bytes.len() > MAX_REQUEST_BYTES {
-        return encode_error(frame.seq, ERR_MALFORMED, "oversized request frame");
-    }
-    let seq = frame.seq;
-    if seq == 0 || seq == SEQ_UNPARSED {
-        return encode_error(seq, ERR_SEQ, &format!("reserved sequence number {seq}"));
-    }
-    if seq == state.last_seq {
-        // Retransmission: the reply (or the request) was lost in flight.
-        // Replay the cached reply bytes verbatim — no store access, no
-        // epoch advance — and record the duplicate observation (the
-        // adversary saw the resend too).
-        if let Some((sid, masked)) = &state.last_observed {
-            if let Some(stats) = lock_shared(shared).sessions.get_mut(sid) {
-                stats.retransmits += 1;
-                let masked = masked.clone();
-                stats.record_observed(&masked);
-            }
-        } else if let Some(sid) = state.session {
-            if let Some(stats) = lock_shared(shared).sessions.get_mut(&sid) {
-                stats.retransmits += 1;
-            }
-        }
-        return state.last_reply.clone();
-    }
-    if seq != advance_seq(state.last_seq) {
-        // Not the cached request and not the next fresh one: the channel
-        // lost sync (or a stale duplicate outlived its window). Fatal —
-        // do not advance the cache. The expected successor skips the
-        // reserved values, so a channel that wraps past `u32::MAX` stays
-        // in sync with a client advancing by the same rule.
-        return encode_error(
-            seq,
-            ERR_SEQ,
-            &format!("sequence {seq} after {}", state.last_seq),
-        );
-    }
     state.last_observed = None;
     let mut cache_reply = true;
-    let reply = serve_fresh(
-        gen,
-        shared,
-        state,
-        next_session,
-        frame.kind,
-        seq,
-        frame.payload,
-        reqs,
-        run_pages,
-        arena,
-        &mut cache_reply,
-    );
+    let reply = if frame.kind == K_ROUND_REQ {
+        match parse_round(gen.server(), state, client, &frame, bytes.len()) {
+            Ok(round) => {
+                admit_round(shared, state, &round);
+                return Step::Round(round);
+            }
+            Err(reply) => reply,
+        }
+    } else {
+        serve_fresh(gen, shared, state, next_session, &frame, &mut cache_reply)
+    };
     if cache_reply {
-        state.last_seq = seq;
+        state.last_seq = frame.seq;
         state.last_reply = reply.clone();
     }
-    reply
+    Step::Reply(reply)
 }
 
-/// The fresh-request body of [`handle_frame`]: every path through here is
-/// reached exactly once per accepted sequence number — except a transient
-/// storage fault, which clears `cache_reply` so the caller does not install
-/// the error as the sequence's reply and the client's retransmission
-/// re-executes the serve.
-#[allow(clippy::too_many_arguments)]
+/// The fresh-request body of [`handle_frame`] for every kind but
+/// `RoundRequest`: every path through here is reached exactly once per
+/// accepted sequence number — except a transient storage fault, which
+/// clears `cache_reply` so the caller does not install the error as the
+/// sequence's reply and the client's retransmission re-executes the serve.
 fn serve_fresh(
     gen: &GenEntry,
-    shared: &Arc<Mutex<FrontShared>>,
+    shared: &Mutex<FrontShared>,
     state: &mut ClientState,
     next_session: &mut u64,
-    kind: u8,
-    seq: u32,
-    payload: &[u8],
-    reqs: &mut Vec<(FileId, u32)>,
-    run_pages: &mut Vec<u32>,
-    arena: &mut Vec<PageBuf>,
+    frame: &Frame<'_>,
     cache_reply: &mut bool,
 ) -> Vec<u8> {
     let server = gen.server();
-    let info = &gen.info;
-    let page_size = gen.page_size;
-    let mut r = ByteReader::new(payload);
-    match kind {
+    let seq = frame.seq;
+    let mut r = ByteReader::new(frame.payload);
+    match frame.kind {
         K_SESSION_OPEN => {
             if state.session.is_some() {
                 return encode_error(seq, ERR_SESSION, "session already open on this channel");
@@ -1691,7 +1605,7 @@ fn serve_fresh(
                 stats.record_observed(&masked);
             }
             state.last_observed = Some((sid, masked));
-            encode_session_accept(seq, sid, info)
+            encode_session_accept(seq, sid, &gen.info)
         }
         K_QUERY_OPEN => {
             let Ok(sid) = r.u64() else {
@@ -1713,67 +1627,6 @@ fn serve_fresh(
             }
             state.last_observed = Some((sid, masked));
             encode_ack(seq)
-        }
-        K_ROUND_REQ => {
-            let (sid, round, k) = match (r.u64(), r.u32(), r.u32()) {
-                (Ok(s), Ok(ro), Ok(k)) => (s, ro, k as usize),
-                _ => return encode_error(seq, ERR_MALFORMED, "truncated RoundRequest"),
-            };
-            if state.session != Some(sid) {
-                return encode_error(seq, ERR_SESSION, "RoundRequest for a session not open here");
-            }
-            reqs.clear();
-            for _ in 0..k {
-                match (r.u16(), r.u32()) {
-                    (Ok(f), Ok(p)) => reqs.push((FileId(f), p)),
-                    _ => return encode_error(seq, ERR_MALFORMED, "truncated fetch list"),
-                }
-            }
-            // A round either continues (same number — a sub-round exchange,
-            // e.g. the HY continuation walk) or advances by exactly one.
-            if round != state.last_round && round != state.last_round + 1 {
-                return encode_error(
-                    seq,
-                    ERR_ROUND_ORDER,
-                    &format!("round {round} after round {}", state.last_round),
-                );
-            }
-            let new_round = round == state.last_round + 1;
-            let prev_round = state.last_round;
-            state.last_round = round;
-            let masked = encode_round_request(seq, 0, round, reqs, true);
-            if let Some(stats) = lock_shared(shared).sessions.get_mut(&sid) {
-                stats.record_observed(&masked);
-            }
-            state.last_observed = Some((sid, masked));
-            while arena.len() < reqs.len() {
-                arena.push(PageBuf::zeroed(page_size));
-            }
-            for buf in arena.iter_mut().take(reqs.len()) {
-                if buf.len() != page_size {
-                    *buf = PageBuf::zeroed(page_size);
-                }
-            }
-            if let Err(e) = server.serve_requests(reqs, run_pages, &mut arena[..reqs.len()]) {
-                if e.is_transient_storage() {
-                    // Retryable: un-advance the round cursor and leave the
-                    // replay cache untouched so the retransmit re-serves.
-                    state.last_round = prev_round;
-                    *cache_reply = false;
-                    return encode_error(seq, ERR_SERVE_TRANSIENT, &format!("{e}"));
-                }
-                return encode_error(seq, ERR_SERVE, &format!("{e}"));
-            }
-            {
-                let mut lock = lock_shared(shared);
-                if let Some(stats) = lock.sessions.get_mut(&sid) {
-                    stats.fetches += reqs.len() as u64;
-                    if new_round {
-                        stats.rounds += 1;
-                    }
-                }
-            }
-            encode_round_response(seq, &arena[..reqs.len()], page_size)
         }
         K_DOWNLOAD_REQ => {
             let (sid, file) = match (r.u64(), r.u16()) {
@@ -2817,61 +2670,40 @@ mod tests {
         assert_eq!(advance_seq(0), 1);
 
         // Server side: a channel sitting one step below the sentinel.
-        let srv = server();
-        let gen = Arc::new(GenEntry::new(
-            1,
-            srv.clone() as Arc<dyn ServeHost + Send + Sync>,
-        ));
         let shared = Arc::new(Mutex::new(FrontShared::default()));
         lock_shared(&shared).sessions.entry(7).or_default();
-        let (resp_tx, _resp_rx) = mpsc::channel();
-        let mut state = ClientState {
-            resp: resp_tx,
-            session: Some(7),
-            gen: Arc::clone(&gen),
-            last_round: 2,
-            last_seq: u32::MAX - 1,
-            last_reply: Vec::new(),
-            last_observed: None,
-            last_active: Instant::now(),
-        };
-        let mut next_session = 8u64;
-        let (mut reqs, mut run_pages, mut arena) = (Vec::new(), Vec::new(), Vec::new());
-        let mut drive = |state: &mut ClientState, frame: Vec<u8>| {
-            handle_frame(
-                &gen,
-                &shared,
-                state,
-                &mut next_session,
-                &frame,
-                &mut reqs,
-                &mut run_pages,
-                &mut arena,
-            )
+        let mut front = FrontLoop::new(Arc::new(StaticSource::new(server())), shared, None);
+        let (resp_tx, resp_rx) = mpsc::channel();
+        front.connect(1, resp_tx);
+        let state = front.clients.get_mut(&1).unwrap();
+        state.session = Some(7);
+        state.last_round = 2;
+        state.last_seq = u32::MAX - 1;
+        let mut drive = |frame: Vec<u8>| -> (Vec<u8>, u32) {
+            front.frame(1, &frame, &mut []);
+            let reply = resp_rx.try_recv().expect("the frame is answered");
+            (reply, front.clients[&1].last_seq)
         };
         // the sentinel itself stays reserved and does not advance the cache
-        let reply = drive(
-            &mut state,
-            encode_round_request(SEQ_UNPARSED, 7, 2, &[(FileId(1), 3)], false),
-        );
+        let (reply, last_seq) = drive(encode_round_request(
+            SEQ_UNPARSED,
+            7,
+            2,
+            &[(FileId(1), 3)],
+            false,
+        ));
         assert_eq!(split_frame(&reply).unwrap().kind, K_ERROR);
-        assert_eq!(state.last_seq, u32::MAX - 1);
+        assert_eq!(last_seq, u32::MAX - 1);
         // ...as does the wrapped-to-zero value
-        let reply = drive(
-            &mut state,
-            encode_round_request(0, 7, 2, &[(FileId(1), 3)], false),
-        );
+        let (reply, last_seq) = drive(encode_round_request(0, 7, 2, &[(FileId(1), 3)], false));
         assert_eq!(split_frame(&reply).unwrap().kind, K_ERROR);
-        assert_eq!(state.last_seq, u32::MAX - 1);
+        assert_eq!(last_seq, u32::MAX - 1);
         // the successor skipping both reserved values is the fresh request
-        let reply = drive(
-            &mut state,
-            encode_round_request(1, 7, 2, &[(FileId(1), 3)], false),
-        );
+        let (reply, last_seq) = drive(encode_round_request(1, 7, 2, &[(FileId(1), 3)], false));
         let f = split_frame(&reply).unwrap();
         assert_eq!(f.kind, K_ROUND_RESP);
         assert_eq!(f.seq, 1);
-        assert_eq!(state.last_seq, 1);
+        assert_eq!(last_seq, 1);
 
         // Client side: next_seq takes the identical walk, so both ends of a
         // wrapped channel stay in sync.
@@ -2942,64 +2774,153 @@ mod tests {
         );
     }
 
-    fn coalescing_front(window_ms: u64, max_batch: usize) -> ServerFront {
-        ServerFront::spawn_with(
-            server(),
-            FrontConfig {
-                coalesce_window: Some(Duration::from_millis(window_ms)),
-                coalesce_max_batch: max_batch,
-                ..FrontConfig::default()
-            },
-        )
+    /// A test store whose `fetch_batch` reports each call's page list and
+    /// then blocks until the test opens the gate once, so frames pile up
+    /// behind a running pass with no timing involved. Page `p` reads back
+    /// with `p` in its first four bytes.
+    struct GateStore {
+        pages: u32,
+        coalescable: bool,
+        entered: mpsc::Sender<Vec<u32>>,
+        release: mpsc::Receiver<()>,
+    }
+
+    impl crate::ObliviousStore for GateStore {
+        fn num_pages(&self) -> u32 {
+            self.pages
+        }
+        fn fetch(&mut self, page: u32) -> Result<PageBuf> {
+            let mut out = [PageBuf::zeroed(DEFAULT_PAGE_SIZE)];
+            self.fetch_batch(&[page], &mut out)?;
+            let [page] = out;
+            Ok(page)
+        }
+        fn fetch_batch(&mut self, pages: &[u32], out: &mut [PageBuf]) -> Result<()> {
+            let _ = self.entered.send(pages.to_vec());
+            // a dropped gate stays open, and a gate nobody opens gives way
+            // after a while: a failing test then unwinds instead of hanging
+            // in the front's shutdown
+            let _ = self.release.recv_timeout(Duration::from_secs(10));
+            for (buf, &p) in out.iter_mut().zip(pages) {
+                buf.as_mut_slice().fill(0);
+                buf.as_mut_slice()[..4].copy_from_slice(&p.to_le_bytes());
+            }
+            Ok(())
+        }
+        fn physical_log(&self) -> &[u32] {
+            &[]
+        }
+        fn coalescable(&self) -> bool {
+            self.coalescable
+        }
+    }
+
+    /// The test's end of a [`GateStore`].
+    struct Gate {
+        entered: mpsc::Receiver<Vec<u32>>,
+        release: mpsc::Sender<()>,
+    }
+
+    impl Gate {
+        /// Waits until a pass reaches the store; returns its page list.
+        fn entered(&self) -> Vec<u32> {
+            self.entered
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a pass reaches the gated store")
+        }
+        /// Lets the pass that reached the store finish.
+        fn open(&self) {
+            self.release.send(()).unwrap();
+        }
+    }
+
+    /// [`server`]'s files plus `Fg` (file 2) behind a [`GateStore`] and a
+    /// shuffled `Fs` (file 3).
+    fn gated_server(coalescable: bool) -> (Arc<PirServer>, Gate) {
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let mut srv = PirServer::new(SystemSpec::default());
+        srv.add_file("Fh", file(2), PirMode::CostOnly).unwrap();
+        srv.add_file("Fd", file(16), PirMode::LinearScan).unwrap();
+        let store = GateStore {
+            pages: 16,
+            coalescable,
+            entered: entered_tx,
+            release: release_rx,
+        };
+        srv.add_file_with_store("Fg", file(16), Box::new(store))
+            .unwrap();
+        srv.add_file("Fs", file(16), PirMode::Shuffled { seed: 5 })
+            .unwrap();
+        (Arc::new(srv), Gate { entered, release })
+    }
+
+    const FD: FileId = FileId(1);
+    const FG: FileId = FileId(2);
+    const FS: FileId = FileId(3);
+
+    /// Opens a session and its first query on a raw link (seqs 1 and 2).
+    fn open_query(link: &mut ChannelLink) -> u64 {
+        link.send(&encode_session_open(1)).unwrap();
+        let accept = link.recv(Some(Duration::from_secs(5))).unwrap();
+        let f = split_frame(&accept).unwrap();
+        assert_eq!(f.kind, K_SESSION_ACCEPT);
+        let sid = ByteReader::new(f.payload).u64().unwrap();
+        link.send(&encode_query_open(2, sid)).unwrap();
+        let ack = link.recv(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(split_frame(&ack).unwrap().kind, K_ACK);
+        sid
+    }
+
+    /// Sends round 2 (seq 3) fetching one page.
+    fn send_round(link: &mut ChannelLink, sid: u64, fetch: (FileId, u32)) {
+        link.send(&encode_round_request(3, sid, 2, &[fetch], false))
+            .unwrap();
+    }
+
+    /// Receives the one-page `RoundResponse` to `seq` and returns the
+    /// page's marker.
+    fn recv_page(link: &mut ChannelLink, seq: u32) -> u32 {
+        let reply = link.recv(Some(Duration::from_secs(5))).unwrap();
+        let f = split_frame(&reply).unwrap();
+        assert_eq!(f.kind, K_ROUND_RESP);
+        assert_eq!(f.seq, seq);
+        let mut r = ByteReader::new(f.payload);
+        assert_eq!(r.u32().unwrap(), 1);
+        let page_size = r.u32().unwrap() as usize;
+        let page = r.bytes(page_size).unwrap();
+        u32::from_le_bytes(page[..4].try_into().unwrap())
     }
 
     #[test]
     fn coalesced_rounds_merge_into_one_sweep_with_correct_replies() {
-        // max_batch 2 flushes deterministically on the second parked fetch;
-        // the huge window proves the flush came from the batch bound.
-        let front = coalescing_front(10_000, 2);
-        let mut a = front.raw_link().unwrap();
-        let mut b = front.raw_link().unwrap();
-        let open = |link: &mut ChannelLink| -> u64 {
-            link.send(&encode_session_open(1)).unwrap();
-            let accept = link.recv(Some(Duration::from_secs(5))).unwrap();
-            let f = split_frame(&accept).unwrap();
-            assert_eq!(f.kind, K_SESSION_ACCEPT);
-            ByteReader::new(f.payload).u64().unwrap()
+        let (srv, gate) = gated_server(true);
+        let front = ServerFront::spawn(srv);
+        let mut links: Vec<ChannelLink> = (0..3).map(|_| front.raw_link().unwrap()).collect();
+        let sids: Vec<u64> = links.iter_mut().map(open_query).collect();
+        let [z, a, b] = &mut links[..] else {
+            unreachable!()
         };
-        let sid_a = open(&mut a);
-        let sid_b = open(&mut b);
-        for (link, sid) in [(&mut a, sid_a), (&mut b, sid_b)] {
-            link.send(&encode_query_open(2, sid)).unwrap();
-            let ack = link.recv(Some(Duration::from_secs(5))).unwrap();
-            assert_eq!(split_frame(&ack).unwrap().kind, K_ACK);
-        }
-        // both rounds target the linear-scan file: the first parks, the
-        // second reaches the batch bound and both flush as one sweep
-        a.send(&encode_round_request(3, sid_a, 2, &[(FileId(1), 5)], false))
-            .unwrap();
-        b.send(&encode_round_request(3, sid_b, 2, &[(FileId(1), 9)], false))
-            .unwrap();
-        let ra = a.recv(Some(Duration::from_secs(5))).unwrap();
-        let rb = b.recv(Some(Duration::from_secs(5))).unwrap();
-        for (reply, want) in [(&ra, 5u32), (&rb, 9u32)] {
-            let f = split_frame(reply).unwrap();
-            assert_eq!(f.kind, K_ROUND_RESP);
-            assert_eq!(f.seq, 3);
-            let mut r = ByteReader::new(f.payload);
-            assert_eq!(r.u32().unwrap(), 1);
-            let page_size = r.u32().unwrap() as usize;
-            let page = r.bytes(page_size).unwrap();
-            assert_eq!(u32::from_le_bytes(page[..4].try_into().unwrap()), want);
-        }
-        drop((a, b));
+        // Z's pass holds the loop in the gated store...
+        send_round(z, sids[0], (FG, 1));
+        assert_eq!(gate.entered(), vec![1]);
+        // ...while A's and B's rounds over the same file queue behind it
+        send_round(a, sids[1], (FG, 5));
+        send_round(b, sids[2], (FG, 9));
+        gate.open();
+        assert_eq!(gate.entered(), vec![5, 9], "one store call serves both");
+        gate.open();
+        assert_eq!(recv_page(z, 3), 1);
+        assert_eq!(recv_page(a, 3), 5);
+        assert_eq!(recv_page(b, 3), 9);
+        drop(links);
         let stats = front.shutdown();
-        let (sa, sb) = (stats.get(&sid_a).unwrap(), stats.get(&sid_b).unwrap());
-        assert_eq!(sa.fetches, 1);
-        assert_eq!(sb.fetches, 1);
+        let (sz, sa, sb) = (&stats[&sids[0]], &stats[&sids[1]], &stats[&sids[2]]);
+        assert_eq!((sa.fetches, sb.fetches), (1, 1));
         assert_eq!(sa.rounds, 2);
-        assert_eq!(sa.coalesced_rounds, 1, "served from a shared sweep");
+        assert_eq!(sa.coalesced_rounds, 1, "served from a shared pass");
         assert_eq!(sb.coalesced_rounds, 1);
+        assert_eq!(sz.coalesced_rounds, 0, "Z's pass ran alone");
         // the observable stream is exactly what a solo run records
         let events = parse_observed(&sa.observed).unwrap();
         assert_eq!(events.len(), 3);
@@ -3007,23 +2928,47 @@ mod tests {
             events[2],
             ObservedEvent::Round {
                 round: 2,
-                fetches: vec![FileId(1)],
+                fetches: vec![FG],
             }
         );
     }
 
     #[test]
-    fn solo_round_flushes_at_window_expiry() {
-        let front = coalescing_front(30, 0);
+    fn cross_file_batch_answers_the_first_arrival_first() {
+        let (srv, gate) = gated_server(true);
+        let front = ServerFront::spawn(srv);
+        let mut links: Vec<ChannelLink> = (0..3).map(|_| front.raw_link().unwrap()).collect();
+        let sids: Vec<u64> = links.iter_mut().map(open_query).collect();
+        let [z, a, b] = &mut links[..] else {
+            unreachable!()
+        };
+        send_round(z, sids[0], (FG, 1));
+        assert_eq!(gate.entered(), vec![1]);
+        // A (over Fd) arrives before B (over the gated Fg)
+        send_round(a, sids[1], (FD, 5));
+        send_round(b, sids[2], (FG, 9));
+        gate.open();
+        assert_eq!(gate.entered(), vec![9], "B's pass is running, gated");
+        // FIFO: A's pass ran first and its reply is already out, while B's
+        // pass still holds the loop
+        assert_eq!(recv_page(a, 3), 5);
+        gate.open();
+        assert_eq!(recv_page(b, 3), 9);
+        assert_eq!(recv_page(z, 3), 1);
+        drop(links);
+        let stats = front.shutdown();
+        assert!(stats.values().all(|s| s.coalesced_rounds == 0));
+    }
+
+    #[test]
+    fn lone_round_is_answered_without_a_timer() {
+        // the default front has no idle tick: the loop blocks on the queue
+        // with no timeout at all, so only the round itself can wake it
+        let front = ServerFront::spawn(server());
         let mut chan = front.connect().unwrap();
         chan.begin_query().unwrap();
         let mut out = vec![PageBuf::zeroed(DEFAULT_PAGE_SIZE); 1];
-        let t0 = Instant::now();
-        chan.serve_round(2, &[(FileId(1), 6)], &mut out).unwrap();
-        assert!(
-            t0.elapsed() >= Duration::from_millis(25),
-            "a parked round with no batch partner flushes at window expiry"
-        );
+        chan.serve_round(2, &[(FD, 6)], &mut out).unwrap();
         assert_eq!(
             u32::from_le_bytes(out[0].as_slice()[..4].try_into().unwrap()),
             6
@@ -3033,61 +2978,121 @@ mod tests {
         let stats = front.shutdown();
         let s = stats.get(&sid).unwrap();
         assert_eq!(s.fetches, 1);
-        assert_eq!(s.coalesced_rounds, 0, "a solo flush is not a shared sweep");
+        assert_eq!(s.coalesced_rounds, 0, "a batch of one is not a shared pass");
     }
 
     #[test]
-    fn non_coalescable_rounds_bypass_the_window() {
-        // a window so long a wrongly-deferred round would visibly stall
-        let front = coalescing_front(10_000, 0);
-        let mut chan = front.connect().unwrap();
-        chan.begin_query().unwrap();
-        let mut out = vec![PageBuf::zeroed(DEFAULT_PAGE_SIZE); 2];
-        let t0 = Instant::now();
-        // Fh is cost-only (no linear-scan store): served immediately
-        chan.serve_round(2, &[(FileId(0), 1), (FileId(0), 0)], &mut out)
+    fn non_coalescable_rounds_are_served_in_arrival_order() {
+        // Fg is gated but *not* coalescable, like a stateful store
+        let (srv, gate) = gated_server(false);
+        assert!(!srv.file_coalescable(FG));
+        assert!(!srv.file_coalescable(FS), "shuffled stores are stateful");
+        let front = ServerFront::spawn(Arc::clone(&srv));
+        let mut links: Vec<ChannelLink> = (0..3).map(|_| front.raw_link().unwrap()).collect();
+        let sids: Vec<u64> = links.iter_mut().map(open_query).collect();
+        let [z, a, b] = &mut links[..] else {
+            unreachable!()
+        };
+        send_round(z, sids[0], (FG, 1));
+        assert_eq!(gate.entered(), vec![1]);
+        send_round(a, sids[1], (FG, 5));
+        send_round(b, sids[2], (FG, 9));
+        gate.open();
+        // one store call per round, in arrival order
+        assert_eq!(gate.entered(), vec![5]);
+        gate.open();
+        assert_eq!(gate.entered(), vec![9]);
+        gate.open();
+        assert_eq!(recv_page(z, 3), 1);
+        assert_eq!(recv_page(a, 3), 5);
+        assert_eq!(recv_page(b, 3), 9);
+        // real shuffled rounds queued behind a pass are each served alone
+        z.send(&encode_round_request(4, sids[0], 3, &[(FG, 4)], false))
             .unwrap();
-        // a mixed round (any non-coalescable fetch) is immediate too
-        chan.serve_round(3, &[(FileId(1), 2), (FileId(0), 1)], &mut out)
+        assert_eq!(gate.entered(), vec![4]);
+        a.send(&encode_round_request(4, sids[1], 3, &[(FS, 7)], false))
             .unwrap();
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "non-coalescable rounds must not wait out the window"
-        );
-        let sid = chan.session_id();
-        drop(chan);
+        b.send(&encode_round_request(4, sids[2], 3, &[(FS, 11)], false))
+            .unwrap();
+        gate.open();
+        assert_eq!(recv_page(z, 4), 4);
+        assert_eq!(recv_page(a, 4), 7);
+        assert_eq!(recv_page(b, 4), 11);
+        drop(links);
         let stats = front.shutdown();
-        let s = stats.get(&sid).unwrap();
-        assert_eq!(s.coalesced_rounds, 0);
-        assert_eq!(s.fetches, 4);
+        assert!(stats.values().all(|s| s.coalesced_rounds == 0));
+        assert!(stats.values().all(|s| s.fetches == 2));
     }
 
     #[test]
-    fn retransmit_of_a_parked_round_is_answered_once_by_the_flush() {
-        let front = coalescing_front(10_000, 0);
+    fn retransmit_of_a_queued_round_is_served_once() {
+        let (srv, gate) = gated_server(true);
+        let front = ServerFront::spawn(srv);
+        let mut z = front.raw_link().unwrap();
         let mut link = front.raw_link().unwrap();
-        link.send(&encode_session_open(1)).unwrap();
-        let accept = link.recv(Some(Duration::from_secs(5))).unwrap();
-        let sid = ByteReader::new(split_frame(&accept).unwrap().payload)
-            .u64()
-            .unwrap();
-        link.send(&encode_query_open(2, sid)).unwrap();
-        let ack = link.recv(Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(split_frame(&ack).unwrap().kind, K_ACK);
-        let round = encode_round_request(3, sid, 2, &[(FileId(1), 4)], false);
-        link.send(&round).unwrap(); // parks in the coalesce window
-        link.send(&round).unwrap(); // retransmit while parked: absorbed
-                                    // shutdown flushes the parked batch, then drains
+        let sid_z = open_query(&mut z);
+        let sid = open_query(&mut link);
+        send_round(&mut z, sid_z, (FG, 1));
+        assert_eq!(gate.entered(), vec![1]);
+        // the round and its retransmission both queue behind Z's pass
+        let round = encode_round_request(3, sid, 2, &[(FD, 4)], false);
+        link.send(&round).unwrap();
+        link.send(&round).unwrap();
+        gate.open();
+        let first = link.recv(Some(Duration::from_secs(5))).unwrap();
+        let replay = link.recv(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(split_frame(&first).unwrap().kind, K_ROUND_RESP);
+        assert_eq!(
+            replay, first,
+            "the resend is answered from the replay cache"
+        );
+        drop((z, link));
         let stats = front.shutdown();
-        let reply = link.recv(Some(Duration::from_secs(5))).unwrap();
-        let f = split_frame(&reply).unwrap();
-        assert_eq!(f.kind, K_ROUND_RESP);
-        assert_eq!(f.seq, 3);
         let s = stats.get(&sid).unwrap();
-        assert_eq!(s.fetches, 1, "the parked round is served exactly once");
+        assert_eq!(s.fetches, 1, "the queued round is served exactly once");
         assert_eq!(s.retransmits, 1);
-        // exactly one reply: the duplicate was absorbed, not double-served
-        assert!(link.recv(Some(Duration::from_millis(200))).is_err());
+        // the adversary saw the resend: it is recorded, bit-identical
+        let raw = parse_observed_raw(&s.observed).unwrap();
+        assert_eq!(raw.len(), 4);
+        assert_eq!(raw[2], raw[3]);
+    }
+
+    #[test]
+    fn disconnect_mid_batch_does_not_disturb_its_neighbour() {
+        let (srv, gate) = gated_server(true);
+        let front = ServerFront::spawn(srv);
+        let mut links: Vec<ChannelLink> = (0..3).map(|_| front.raw_link().unwrap()).collect();
+        let sids: Vec<u64> = links.iter_mut().map(open_query).collect();
+        let mut b = links.pop().unwrap();
+        let mut a = links.pop().unwrap();
+        let mut z = links.pop().unwrap();
+        send_round(&mut z, sids[0], (FG, 1));
+        assert_eq!(gate.entered(), vec![1]);
+        send_round(&mut a, sids[1], (FG, 5));
+        send_round(&mut b, sids[2], (FG, 9));
+        drop(a); // A disconnects with its round still queued
+        gate.open();
+        assert_eq!(
+            gate.entered(),
+            vec![5, 9],
+            "A's round still shares the pass"
+        );
+        gate.open();
+        assert_eq!(recv_page(&mut b, 3), 9);
+        assert_eq!(recv_page(&mut z, 3), 1);
+        // B's channel keeps serving after the batch
+        b.send(&encode_round_request(4, sids[2], 3, &[(FD, 2)], false))
+            .unwrap();
+        let reply = b.recv(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(split_frame(&reply).unwrap().kind, K_ROUND_RESP);
+        drop((z, b));
+        let stats = front.shutdown();
+        assert_eq!(stats[&sids[2]].fetches, 2);
+        assert_eq!(stats[&sids[2]].coalesced_rounds, 1);
+        assert_eq!(stats[&sids[2]].panics, 0);
+        // A's round was served and accounted; its dead channel closed it
+        assert_eq!(stats[&sids[1]].fetches, 1);
+        assert!(stats[&sids[1]].closed);
     }
 
     #[test]
@@ -3246,151 +3251,84 @@ mod tests {
 
     #[test]
     fn a_parked_batch_never_spans_generations() {
-        let source = SwapSource::starting_at(1, marked_server(0));
+        // generation 1 carries the gated file; generation 2 marks its pages
+        let (gen1, gate) = gated_server(true);
+        let source = SwapSource::starting_at(1, gen1);
         let front = ServerFront::spawn_swappable(
             source.clone() as Arc<dyn GenerationSource>,
-            FrontConfig {
-                coalesce_window: Some(Duration::from_secs(10)),
-                ..FrontConfig::default()
-            },
+            FrontConfig::default(),
         );
-        let open = |link: &mut ChannelLink| -> (u64, u64) {
-            link.send(&encode_session_open(1)).unwrap();
-            let accept = link.recv(Some(Duration::from_secs(5))).unwrap();
-            let f = split_frame(&accept).unwrap();
-            assert_eq!(f.kind, K_SESSION_ACCEPT);
-            let mut r = ByteReader::new(f.payload);
-            let sid = r.u64().unwrap();
-            let info = ServerInfo::deserialize(&mut r).unwrap();
-            (sid, info.generation)
-        };
+        let mut z = front.raw_link().unwrap();
         let mut a = front.raw_link().unwrap();
-        let (sid_a, gen_a) = open(&mut a);
-        assert_eq!(gen_a, 1);
-        a.send(&encode_query_open(2, sid_a)).unwrap();
-        assert_eq!(
-            split_frame(&a.recv(Some(Duration::from_secs(5))).unwrap())
-                .unwrap()
-                .kind,
-            K_ACK
-        );
-        // park a generation-1 round in the (huge) coalesce window
-        a.send(&encode_round_request(3, sid_a, 2, &[(FileId(1), 5)], false))
-            .unwrap();
-
+        let sid_z = open_query(&mut z);
+        let sid_a = open_query(&mut a);
         source.publish(2, marked_server(1000));
-
-        // B opens after the swap: its SessionOpen re-pins the channel to
-        // generation 2, which must flush A's parked generation-1 batch
-        // rather than ever co-batching across the swap
+        // B opens after the swap: its SessionOpen pins it to generation 2
         let mut b = front.raw_link().unwrap();
-        let (sid_b, gen_b) = open(&mut b);
-        assert_eq!(gen_b, 2);
-        let ra = a.recv(Some(Duration::from_secs(5))).unwrap();
-        let f = split_frame(&ra).unwrap();
-        assert_eq!(f.kind, K_ROUND_RESP);
-        let mut r = ByteReader::new(f.payload);
-        assert_eq!(r.u32().unwrap(), 1);
-        let page_size = r.u32().unwrap() as usize;
-        let page = r.bytes(page_size).unwrap();
+        let sid_b = open_query(&mut b);
+        send_round(&mut z, sid_z, (FG, 1));
+        assert_eq!(gate.entered(), vec![1]);
+        // same file id, same drained set, different generations
+        send_round(&mut a, sid_a, (FD, 5));
+        send_round(&mut b, sid_b, (FD, 9));
+        gate.open();
         assert_eq!(
-            u32::from_le_bytes(page[..4].try_into().unwrap()),
+            recv_page(&mut a, 3),
             5,
-            "A's parked round serves from generation 1"
+            "A's round serves from generation 1"
         );
-
-        b.send(&encode_query_open(2, sid_b)).unwrap();
         assert_eq!(
-            split_frame(&b.recv(Some(Duration::from_secs(5))).unwrap())
-                .unwrap()
-                .kind,
-            K_ACK
-        );
-        b.send(&encode_round_request(3, sid_b, 2, &[(FileId(1), 9)], false))
-            .unwrap();
-        // B's generation-2 round parks solo; shutdown flushes it
-        let stats = front.shutdown();
-        let rb = b.recv(Some(Duration::from_secs(5))).unwrap();
-        let f = split_frame(&rb).unwrap();
-        assert_eq!(f.kind, K_ROUND_RESP);
-        let mut r = ByteReader::new(f.payload);
-        assert_eq!(r.u32().unwrap(), 1);
-        let page_size = r.u32().unwrap() as usize;
-        let page = r.bytes(page_size).unwrap();
-        assert_eq!(
-            u32::from_le_bytes(page[..4].try_into().unwrap()),
+            recv_page(&mut b, 3),
             1009,
             "B's round serves from generation 2"
         );
-        // neither round shared a sweep: the generations were kept apart
-        assert_eq!(stats.get(&sid_a).unwrap().coalesced_rounds, 0);
-        assert_eq!(stats.get(&sid_b).unwrap().coalesced_rounds, 0);
+        assert_eq!(recv_page(&mut z, 3), 1);
+        drop((z, a, b));
+        let stats = front.shutdown();
+        // neither round shared a pass: the generations were kept apart
+        assert_eq!(stats[&sid_a].coalesced_rounds, 0);
+        assert_eq!(stats[&sid_b].coalesced_rounds, 0);
     }
 
     #[test]
     fn idle_evicted_owner_does_not_stall_co_parked_rounds() {
-        // Regression: a round parked by a client that then goes idle used
-        // to sit in the coalescer until window expiry (10 s here), stalling
-        // its co-parked neighbour. The eviction tick must flush first.
+        // Rounds that queue behind a pass for longer than the idle timeout
+        // are still served: a client with a frame in the drained set is not
+        // idle. Their owners are evicted only once they then go silent.
+        let (srv, gate) = gated_server(true);
         let front = ServerFront::spawn_with(
-            server(),
+            srv,
             FrontConfig {
-                coalesce_window: Some(Duration::from_secs(10)),
                 idle_timeout: Some(Duration::from_millis(120)),
                 ..FrontConfig::default()
             },
         );
-        let open = |link: &mut ChannelLink| -> u64 {
-            link.send(&encode_session_open(1)).unwrap();
-            let accept = link.recv(Some(Duration::from_secs(5))).unwrap();
-            let f = split_frame(&accept).unwrap();
-            assert_eq!(f.kind, K_SESSION_ACCEPT);
-            ByteReader::new(f.payload).u64().unwrap()
+        let mut links: Vec<ChannelLink> = (0..3).map(|_| front.raw_link().unwrap()).collect();
+        let sids: Vec<u64> = links.iter_mut().map(open_query).collect();
+        let [z, a, b] = &mut links[..] else {
+            unreachable!()
         };
-        let mut a = front.raw_link().unwrap();
-        let mut b = front.raw_link().unwrap();
-        let sid_a = open(&mut a);
-        let sid_b = open(&mut b);
-        for (link, sid) in [(&mut a, sid_a), (&mut b, sid_b)] {
-            link.send(&encode_query_open(2, sid)).unwrap();
-            assert_eq!(
-                split_frame(&link.recv(Some(Duration::from_secs(5))).unwrap())
-                    .unwrap()
-                    .kind,
-                K_ACK
-            );
-        }
+        send_round(z, sids[0], (FG, 1));
+        assert_eq!(gate.entered(), vec![1]);
+        send_round(a, sids[1], (FG, 2));
+        send_round(b, sids[2], (FG, 11));
+        // hold the pass well past the idle timeout of A and B
+        std::thread::sleep(Duration::from_millis(400));
+        gate.open();
+        assert_eq!(gate.entered(), vec![2, 11]);
+        gate.open();
+        assert_eq!(recv_page(a, 3), 2);
+        assert_eq!(recv_page(b, 3), 11);
+        // now silent, A and B are evicted on a later tick
         let t0 = Instant::now();
-        a.send(&encode_round_request(3, sid_a, 2, &[(FileId(1), 2)], false))
-            .unwrap();
-        b.send(&encode_round_request(
-            3,
-            sid_b,
-            2,
-            &[(FileId(1), 11)],
-            false,
-        ))
-        .unwrap();
-        // both owners now go silent; the idle sweep must flush the batch
-        // (the owed replies still go out) and only then evict
-        for (link, want) in [(&mut a, 2u32), (&mut b, 11)] {
-            let reply = link.recv(Some(Duration::from_secs(5))).unwrap();
-            let f = split_frame(&reply).unwrap();
-            assert_eq!(f.kind, K_ROUND_RESP);
-            assert_eq!(f.seq, 3);
-            let mut r = ByteReader::new(f.payload);
-            assert_eq!(r.u32().unwrap(), 1);
-            let page_size = r.u32().unwrap() as usize;
-            let page = r.bytes(page_size).unwrap();
-            assert_eq!(u32::from_le_bytes(page[..4].try_into().unwrap()), want);
-        }
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "the idle flush must beat the 10 s coalesce window"
-        );
+        let err = a.recv(Some(Duration::from_secs(5))).unwrap_err();
+        assert!(err.to_string().contains("disconnected"), "{err}");
+        assert!(t0.elapsed() < Duration::from_secs(5));
+        drop(links);
         let stats = front.shutdown();
-        assert_eq!(stats.get(&sid_a).unwrap().fetches, 1);
-        assert_eq!(stats.get(&sid_b).unwrap().fetches, 1);
+        assert_eq!(stats[&sids[1]].fetches, 1);
+        assert_eq!(stats[&sids[2]].fetches, 1);
+        assert!(stats[&sids[1]].evicted);
     }
 
     #[test]
@@ -3408,21 +3346,6 @@ mod tests {
             );
             chan.close().unwrap();
         };
-        // a zero-length coalesce window: parks flush at the already-expired
-        // deadline instead of waiting (or hanging)
-        let front = ServerFront::spawn_with(
-            server(),
-            FrontConfig {
-                coalesce_window: Some(Duration::ZERO),
-                ..FrontConfig::default()
-            },
-        );
-        serve_one(&front);
-        front.shutdown();
-        // batch bound of one: the first parked fetch is already a full batch
-        let front = coalescing_front(10_000, 1);
-        serve_one(&front);
-        front.shutdown();
         // one-byte chunks (far smaller than any header): every reply is a
         // maximal chunk train and must still reassemble
         let front = ServerFront::spawn_with(

@@ -694,11 +694,13 @@ fn chaos_link_with_retries_is_observably_identical_to_clean_link() {
 /// and everything the adversary observes. For every PIR scheme, the same
 /// query sequence runs twice over the wire with the same dummy-RNG seed:
 ///
-/// 1. **Solo.** A front with coalescing off — the reference.
-/// 2. **Coalesced.** A front with a coalescing window, the target client
-///    connecting first (session 1, as in the solo run) while three
-///    neighbour sessions hammer the same workload concurrently, so the
-///    target's rounds land in shared sweeps.
+/// 1. **Solo.** The target session alone on a default front — the
+///    reference: with no other session, no pass is ever shared.
+/// 2. **Shared.** A default front with the target client connecting first
+///    (session 1, as in the solo run) while three neighbour sessions
+///    hammer the same workload concurrently, so the target's rounds queue
+///    behind neighbours' passes and share the next one (the front's
+///    self-clocked coalescing).
 ///
 /// The target's answers, paths, traces and deterministic meter components
 /// must be bit-identical between the runs, and its *masked observable
@@ -710,8 +712,7 @@ fn chaos_link_with_retries_is_observably_identical_to_clean_link() {
 /// the test cannot pass vacuously.
 #[test]
 fn coalesced_serving_is_observably_identical_to_solo_serving() {
-    use privpath::pir::{FrontConfig, PirMode};
-    use std::time::Duration;
+    use privpath::pir::PirMode;
     let net = road_like(&RoadGenConfig {
         nodes: 150,
         seed: 7777,
@@ -731,7 +732,7 @@ fn coalesced_serving_is_observably_identical_to_solo_serving() {
                 .unwrap_or_else(|e| panic!("{} build failed: {e}", kind.name())),
         );
 
-        // solo reference: no coalescing
+        // solo reference: the target alone, so nothing can share a pass
         let solo_front = db.serve_wire();
         let mut solo = db
             .wire_session_with_seed(&solo_front, 0x5eed)
@@ -750,11 +751,7 @@ fn coalesced_serving_is_observably_identical_to_solo_serving() {
         let mut attempt = 0;
         loop {
             attempt += 1;
-            let front = db.serve_wire_with(FrontConfig {
-                coalesce_window: Some(Duration::from_millis(5)),
-                coalesce_max_batch: 0, // no batch cap: flush on the window
-                ..Default::default()
-            });
+            let front = db.serve_wire();
             // the target connects first, so it is session 1 — the same id
             // (and thus the same recorded stream slot) as the solo run
             let mut target = db.wire_session_with_seed(&front, 0x5eed).expect("connect");
